@@ -81,33 +81,70 @@ def ssprk104(f, v, tau: float, cfg: RkConfig | None = None):
 
     f maps an array to an array of the same shape (systems stack components
     along axis 0). No spatial coupling is assumed beyond what f itself does.
+
+    The integrator owns its registers: q1, q2 and the stage increment k are
+    allocated once per call and updated in place, q2 carrying the state
+    between substeps. It never writes into what f returns, which may be f's
+    input or a buffer f reuses, and it never writes into v.
     """
     cfg = cfg or RkConfig()
-    u = np.array(_as_values(v), dtype=np.result_type(_as_values(v), float))
+    x = _as_values(v)
+    q2 = np.array(x, dtype=np.result_type(x, float))
+    q1 = np.empty_like(q2)
+    k = np.empty_like(q2)
     dt = tau / cfg.substeps
+    h = dt / 6.0
     for _ in range(cfg.substeps):
-        q1 = u.copy()
-        q2 = u.copy()
+        np.copyto(q1, q2)
         for _ in range(5):
-            q1 += (dt / 6.0) * f(q1)
-        q2 = (q2 + 9.0 * q1) / 25.0
-        q1 = 15.0 * q2 - 5.0 * q1
+            np.multiply(f(q1), h, out=k)
+            q1 += k
+        # q2 = (q2 + 9 q1) / 25, then q1 = 15 q2 - 5 q1
+        np.multiply(q1, 9.0, out=k)
+        q2 += k
+        q2 /= 25.0
+        np.multiply(q2, 15.0, out=k)
+        q1 *= 5.0
+        np.subtract(k, q1, out=q1)
         for _ in range(4):
-            q1 += (dt / 6.0) * f(q1)
-        u = q2 + 0.6 * q1 + (dt / 10.0) * f(q1)
-    return _like(v, u)
+            np.multiply(f(q1), h, out=k)
+            q1 += k
+        # u = q2 + 0.6 q1 + (dt / 10) f(q1)
+        np.multiply(f(q1), dt / 10.0, out=k)
+        q1 *= 0.6
+        q2 += q1
+        q2 += k
+    return _like(v, q2)
 
 
-def truncate_double_well(u, M: float):
+def _buffers(u, out, work):
+    """u as a float array, plus an output and a scratch array shaped like
+    it; the ones not supplied are allocated."""
+    u = np.asarray(u, dtype=float)
+    out = np.empty_like(u) if out is None else out
+    work = np.empty_like(u) if work is None else work
+    return u, out, work
+
+
+def truncate_double_well(u, M: float, out=None, work=None):
     """f(u) = u - u**3 continued linearly outside [-M, M].
 
     The slope outside is 1 - 3 M^2, so sup |f'| = 3 M^2 - 1 for M >= 1.
+
+    Evaluated as f(c) + (1 - 3 M^2)(u - c) with c = clip(u, -M, M), the
+    continuation being the tangent at the knot; inside [-M, M] the tail term
+    is exactly 0. out receives the result and work is one scratch array
+    shaped like u; either is allocated when not given.
     """
-    u = np.asarray(u)
-    upper = (1.0 - 3.0 * M * M) * u + 2.0 * M**3
-    lower = (1.0 - 3.0 * M * M) * u - 2.0 * M**3
-    mid = u - u**3
-    return np.where(u > M, upper, np.where(u < -M, lower, mid))
+    u, out, c = _buffers(u, out, work)
+    np.clip(u, -M, M, out=c)
+    np.multiply(c, c, out=out)
+    out *= c
+    np.subtract(c, out, out=out)
+    np.subtract(u, c, out=c)
+    c *= 1.0 - 3.0 * M * M
+    out += c
+    return out
 
 
 def fkpp_constant(p: int = 5, q: int = 5) -> float:
@@ -115,29 +152,50 @@ def fkpp_constant(p: int = 5, q: int = 5) -> float:
     return math.factorial(p + q + 1) // (math.factorial(p) * math.factorial(q))
 
 
-def truncate_fkpp(u, M: float, p: int = 5, q: int = 5, K_pq: float | None = None):
+def truncate_fkpp(u, M: float, p: int = 5, q: int = 5, K_pq: float | None = None,
+                  out=None, work=None):
     """K u^5 (1-u)^5 continued linearly outside [-M, M], branches as printed.
 
-    The linear continuations are specific to p = q = 5.
+    The linear continuations are specific to p = q = 5. Each is the tangent
+    at its knot, slope 5 K M^4 (1-M)^4 (1-2M) above M and
+    5 K M^4 (1+M)^4 (1+2M) below -M, so f(u) = f(c) + slope (u - c) with
+    c = clip(u, -M, M), and f(c) = K w^5 with w = c - c^2. The tails are
+    max(u - M, 0) and min(u + M, 0), exactly 0 inside [-M, M]. out receives
+    the result and work is one scratch array shaped like u; either is
+    allocated when not given.
     """
     if (p, q) != (5, 5):
         raise NotImplementedError("truncation branches are printed for p = q = 5 only")
     K = fkpp_constant(p, q) if K_pq is None else K_pq
-    u = np.asarray(u, dtype=float)
+    u, out, w = _buffers(u, out, work)
     m4 = M**4
-    upper = (5.0 * K * m4 * (1.0 - M) ** 4 * (1.0 - 2.0 * M)) * u + K * m4 * (1.0 - M) ** 4 * (
-        9.0 * M * M - 4.0 * M
-    )
-    lower = (5.0 * K * m4 * (1.0 + M) ** 4 * (1.0 + 2.0 * M)) * u + K * m4 * (1.0 + M) ** 4 * (
-        9.0 * M * M + 4.0 * M
-    )
-    mid = K * u**5 * (1.0 - u) ** 5
-    return np.where(u > M, upper, np.where(u < -M, lower, mid))
+    slope_up = 5.0 * K * m4 * (1.0 - M) ** 4 * (1.0 - 2.0 * M)
+    slope_lo = 5.0 * K * m4 * (1.0 + M) ** 4 * (1.0 + 2.0 * M)
+    np.clip(u, -M, M, out=w)
+    np.multiply(w, w, out=out)
+    np.subtract(w, out, out=out)  # w = c - c^2
+    np.multiply(out, out, out=w)
+    w *= w
+    out *= w
+    out *= K  # K w^5
+    np.subtract(u, M, out=w)
+    np.maximum(w, 0.0, out=w)
+    w *= slope_up
+    out += w
+    np.add(u, M, out=w)
+    np.minimum(w, 0.0, out=w)
+    w *= slope_lo
+    out += w
+    return out
 
 
-def conservative_rhs(f_base, field):
+def conservative_rhs(f_base, field, out=None):
     """f_base(u) minus its grid mean; on a uniform grid the rectangle-rule
-    mean (1/|Omega|) integral is exactly the plain mean of the samples."""
+    mean (1/|Omega|) integral is exactly the plain mean of the samples.
+
+    The result goes to out when given, which may be the array f_base
+    returned; otherwise to a new array, so f_base's output is never modified.
+    """
     fv = np.asarray(f_base(_as_values(field)))
-    out = fv - fv.mean()
+    out = np.subtract(fv, fv.mean(), out=out)
     return _like(field, out)

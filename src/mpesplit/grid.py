@@ -192,6 +192,8 @@ def linear_propagate(field, nu: complex, tau: float, grid: SpectralGrid | None =
     if tau < 0 and nu.real > 0 and nu.imag == 0 and not allow_backward:
         raise ValueError("backward step with dissipative nu requires allow_backward")
     values = _as_values(field)
+    if np.shape(values) != grid.shape:
+        raise ValueError(f"state shape {np.shape(values)} does not match grid {grid.shape}")
     if nu.imag == 0 and np.isrealobj(values):
         mult = np.exp(-tau * nu.real * grid._lam_half)
         out = _fft.irfftn(mult * _fft.rfftn(values), s=values.shape)

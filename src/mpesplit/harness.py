@@ -139,14 +139,19 @@ def run(config: RunConfig) -> RunRecord:
             break
         last = t >= t_end - 1e-14
         need_diag = step % config.diagnostics_every == 0 or last
+        row = None
         if need_diag or config.adaptive:
             row = _diag_row(model, step, t, tau, state, grid)
             if config.adaptive:
                 controller.record(t, row[3])
             if need_diag:
                 rows.append(row)
-        if model.id == "rd_system" and max_norm(state) > model.M:
-            raise RuntimeError(f"rd_system monitor: max norm exceeded M={model.M} at step {step}")
+        if model.id == "rd_system":
+            peak = max_norm(state) if row is None else row[5]
+            if peak > model.M:
+                raise RuntimeError(
+                    f"rd_system monitor: max norm exceeded M={model.M} at step {step}"
+                )
 
     record = RunRecord(config, model, rows, state, status, diverged_step)
     if config.out_dir:

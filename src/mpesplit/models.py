@@ -218,6 +218,12 @@ def max_norm(state: np.ndarray) -> float:
     return float(np.max(np.abs(state)))
 
 
+def _workspace(state) -> np.ndarray:
+    """A float scratch array shaped like state, for a right-hand side to write
+    into. Each B-flow call allocates its own, so calls share no buffers."""
+    return np.empty(np.shape(state), dtype=float)
+
+
 def flow_pair(model: ModelSpec, grid: SpectralGrid, rk_substeps: int = 4,
               allow_backward: bool = False) -> FlowPair:
     nu = model_nu(model)
@@ -235,12 +241,24 @@ def flow_pair(model: ModelSpec, grid: SpectralGrid, rk_substeps: int = 4,
         k1p = model.params["k1_plus"]
         k1m = model.params["k1_minus"]
 
-        def rhs(s):
-            u, v = s[0], s[1]
-            f = k1p * u * v * v - k1m * v * v * v
-            return np.stack((-f, f))
-
         def b_flow(tau, s):
+            buf, work = _workspace(s), _workspace(s[0])
+
+            def rhs(x):
+                # f = k1p u v^2 - k1m v^3 in buf[1] and -f in buf[0], so the
+                # two components cancel exactly in the total density
+                u, v = x[0], x[1]
+                f = buf[1]
+                np.multiply(u, k1p, out=f)
+                f *= v
+                f *= v
+                np.multiply(v, k1m, out=work)
+                np.multiply(work, v, out=work)
+                np.multiply(work, v, out=work)
+                f -= work
+                np.negative(f, out=buf[0])
+                return buf
+
             return ssprk104(rhs, s, tau, cfg)
 
         return FlowPair(a_flow, b_flow)
@@ -262,16 +280,19 @@ def flow_pair(model: ModelSpec, grid: SpectralGrid, rk_substeps: int = 4,
             # RK on the truncated nonlinearity once it leaves it
             if np.max(np.abs(u)) <= M:
                 return flow_double_well(u, tau)
-            return ssprk104(lambda x: truncate_double_well(x, M), u, tau, cfg)
+            out, work = _workspace(u), _workspace(u)
+            return ssprk104(lambda x: truncate_double_well(x, M, out, work), u, tau, cfg)
 
     elif model.id == "cac":
         M = model.M
 
         def b_flow(tau, u):
-            return ssprk104(
-                lambda x: conservative_rhs(lambda y: truncate_double_well(y, M), x),
-                u, tau, cfg,
-            )
+            out, work = _workspace(u), _workspace(u)
+
+            def rhs(x):
+                return conservative_rhs(lambda y: truncate_double_well(y, M, out, work), x, out)
+
+            return ssprk104(rhs, u, tau, cfg)
 
     elif model.id == "fkpp":
         M = model.M
@@ -280,7 +301,8 @@ def flow_pair(model: ModelSpec, grid: SpectralGrid, rk_substeps: int = 4,
         K = fkpp_constant(p, q)
 
         def b_flow(tau, u):
-            return ssprk104(lambda x: truncate_fkpp(x, M, p, q, K), u, tau, cfg)
+            out, work = _workspace(u), _workspace(u)
+            return ssprk104(lambda x: truncate_fkpp(x, M, p, q, K, out, work), u, tau, cfg)
 
     elif model.id in ("nls_linear", "nls_nonlinear"):
         omega = potential(model, grid)

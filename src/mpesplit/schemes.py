@@ -219,6 +219,7 @@ def scheme_to_json(scheme: SplitScheme) -> str:
         "name": scheme.name,
         "claimed_order": scheme.claimed_order,
         "class": scheme.scheme_class,
+        "exact": scheme.exact,
         "terms": [
             {
                 "c": str(t.weight),
@@ -236,5 +237,6 @@ def scheme_from_json(text: str) -> SplitScheme:
         Term(F(t["c"]), tuple((F(a), F(b)) for a, b in t["stages"]))
         for t in doc["terms"]
     )
+    # documents written before "exact" was serialized: only s4_neg is inexact
     exact = bool(doc.get("exact", doc["name"] != "s4_neg"))
     return SplitScheme(doc["name"], int(doc["claimed_order"]), terms, doc["class"], exact)

@@ -1,0 +1,54 @@
+"""Reference implementations of the nonlinear layer, for differential tests.
+
+These are the straightforward forms the package's buffered code must agree
+with: the truncated nonlinearities evaluated branch by branch from their
+printed formulas, the SSP-RK(10,4) two-register loop with a fresh array for
+every stage, and the model right-hand sides written as plain expressions.
+"""
+
+import numpy as np
+
+
+def double_well_branches(u, M):
+    """u - u**3 inside [-M, M], (1 - 3 M^2) u +- 2 M^3 outside, as printed."""
+    u = np.asarray(u, dtype=float)
+    upper = (1.0 - 3.0 * M * M) * u + 2.0 * M**3
+    lower = (1.0 - 3.0 * M * M) * u - 2.0 * M**3
+    return np.where(u > M, upper, np.where(u < -M, lower, u - u**3))
+
+
+def fkpp_branches(u, M, K=2772.0):
+    """K u^5 (1-u)^5 inside [-M, M] and the printed linear continuations."""
+    u = np.asarray(u, dtype=float)
+    m4 = M**4
+    upper = (5.0 * K * m4 * (1.0 - M) ** 4 * (1.0 - 2.0 * M)) * u + K * m4 * (1.0 - M) ** 4 * (
+        9.0 * M * M - 4.0 * M
+    )
+    lower = (5.0 * K * m4 * (1.0 + M) ** 4 * (1.0 + 2.0 * M)) * u + K * m4 * (1.0 + M) ** 4 * (
+        9.0 * M * M + 4.0 * M
+    )
+    return np.where(u > M, upper, np.where(u < -M, lower, K * u**5 * (1.0 - u) ** 5))
+
+
+def ssprk104_loop(f, v, tau, substeps=4):
+    """SSP-RK(10,4), two-register low-storage form, new arrays at every stage."""
+    u = np.array(v, dtype=np.result_type(v, float))
+    dt = tau / substeps
+    for _ in range(substeps):
+        q1 = u.copy()
+        q2 = u.copy()
+        for _ in range(5):
+            q1 = q1 + (dt / 6.0) * f(q1)
+        q2 = (q2 + 9.0 * q1) / 25.0
+        q1 = 15.0 * q2 - 5.0 * q1
+        for _ in range(4):
+            q1 = q1 + (dt / 6.0) * f(q1)
+        u = q2 + 0.6 * q1 + (dt / 10.0) * f(q1)
+    return u
+
+
+def reaction_rhs(s, k1p, k1m):
+    """The rd_system reaction terms: (-f, f) with f = k1p u v^2 - k1m v^3."""
+    u, v = s[0], s[1]
+    f = k1p * u * v * v - k1m * v * v * v
+    return np.stack((-f, f))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpesplit.flows import (
     RkConfig,
@@ -14,6 +16,7 @@ from mpesplit.flows import (
     truncate_double_well,
     truncate_fkpp,
 )
+from reference_flows import double_well_branches, fkpp_branches, ssprk104_loop
 
 # 50-digit evaluation of arcsinh(e * sinh 1), the closed tanh flow at
 # v = 1, lambda = 1, tau = 1
@@ -274,3 +277,141 @@ class TestConservativeRhs:
         u = rng.uniform(-1, 1, (16, 16))
         out = conservative_rhs(lambda s: s - s ** 3, u)
         assert abs(float(np.mean(out))) <= 1e-13
+
+
+def knot_points(M):
+    """The knots +-M, one ulp either side of each, and M +- 1."""
+    pts = []
+    for knot in (M, -M):
+        pts += [knot, np.nextafter(knot, np.inf), np.nextafter(knot, -np.inf)]
+    return pts + [M - 1.0, M + 1.0, -M - 1.0, -M + 1.0]
+
+
+class TestTruncationFastPaths:
+    """Clip-plus-tail truncations against the printed branch formulas."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        M=st.floats(0.5, 8.0),
+        fractions=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=40),
+    )
+    def test_match_printed_branches(self, M, fractions):
+        u = np.array([M * x for x in fractions] + knot_points(M))
+        for fast, ref in (
+            (truncate_double_well(u, M), double_well_branches(u, M)),
+            (truncate_fkpp(u, M), fkpp_branches(u, M)),
+        ):
+            assert np.all(np.abs(fast - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+    def test_tail_term_vanishes_inside_window(self):
+        # inside [-M, M] the result is f(c) with c = u, with nothing added
+        M = 6.0
+        u = np.linspace(-M, M, 1001)
+        assert np.array_equal(truncate_double_well(u, M), u - u * u * u)
+        w = u - u * u
+        w2 = w * w
+        assert np.array_equal(truncate_fkpp(u, M), w * (w2 * w2) * 2772.0)
+
+    def test_buffers_written_and_returned(self):
+        rng = np.random.default_rng(11)
+        u = rng.uniform(-12.0, 12.0, (8, 8))
+        before = u.copy()
+        for fn in (lambda x, **kw: truncate_double_well(x, 6.0, **kw),
+                   lambda x, **kw: truncate_fkpp(x, 6.0, **kw)):
+            out, work = np.empty_like(u), np.empty_like(u)
+            got = fn(u, out=out, work=work)
+            assert got is out
+            assert np.array_equal(got, fn(u))
+            assert np.array_equal(u, before)
+
+    def test_integer_input(self):
+        assert float(truncate_double_well(2, 6.0)) == -6.0
+        assert float(truncate_fkpp(2, 6.0)) == -2772.0 * 32
+
+
+def _real_state():
+    return np.random.default_rng(12).uniform(-1.5, 1.5, (16, 16))
+
+
+def _complex_state():
+    rng = np.random.default_rng(13)
+    return rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+
+
+def _stacked_state():
+    return np.random.default_rng(14).uniform(0.5, 2.0, (2, 8, 8))
+
+
+def _pair_rhs(s):
+    f = s[0] * s[1] * s[1] - 0.1 * s[1] * s[1] * s[1]
+    return np.stack((-f, f))
+
+
+RK_CASES = {
+    "real": (_real_state, lambda u: truncate_double_well(u, 6.0)),
+    "complex": (_complex_state, lambda u: 1j * (u.real * u.real + u.imag * u.imag) * u - 0.3 * u),
+    "stacked": (_stacked_state, _pair_rhs),
+}
+
+
+class TestSsprk104Registers:
+    """The buffered integrator against the allocating two-register loop."""
+
+    @pytest.mark.parametrize("case", sorted(RK_CASES))
+    @pytest.mark.parametrize("substeps", [1, 4])
+    def test_matches_reference_loop(self, case, substeps):
+        make, f = RK_CASES[case]
+        v = make()
+        before = v.copy()
+        got = ssprk104(f, v, 0.05, RkConfig(substeps))
+        ref = ssprk104_loop(f, v, 0.05, substeps)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(v))
+        assert np.array_equal(v, before)
+
+    @pytest.mark.parametrize("case", sorted(RK_CASES))
+    def test_rhs_returning_input_or_view(self, case):
+        v = RK_CASES[case][0]()
+        before = v.copy()
+        for f in (lambda u: u, lambda u: u[...]):
+            got = ssprk104(f, v, 0.3)
+            assert np.max(np.abs(got - ssprk104_loop(f, v, 0.3))) <= 1e-14 * np.max(np.abs(v))
+        assert np.array_equal(v, before)
+
+    @pytest.mark.parametrize("case", sorted(RK_CASES))
+    def test_rhs_reusing_one_buffer(self, case):
+        make, f_ref = RK_CASES[case]
+        v = make()
+        before = v.copy()
+        buf = np.empty_like(v)
+
+        def f(u):
+            buf[...] = f_ref(u)
+            return buf
+
+        got = ssprk104(f, v, 0.05)
+        assert np.max(np.abs(got - ssprk104_loop(f_ref, v, 0.05))) <= 1e-14 * np.max(np.abs(v))
+        assert np.array_equal(v, before)
+
+
+class TestConservativeRhsOwnership:
+    def test_does_not_modify_base_output(self):
+        rng = np.random.default_rng(15)
+        u = rng.uniform(-1, 1, (8, 8))
+        before = u.copy()
+        out = conservative_rhs(lambda s: s, u)  # f_base hands back its input
+        assert np.array_equal(u, before)
+        assert np.allclose(out, u - u.mean(), rtol=0, atol=1e-15)
+
+    def test_writes_into_out(self):
+        rng = np.random.default_rng(16)
+        u = rng.uniform(-1, 1, (8, 8))
+        buf = np.empty_like(u)
+
+        def base(s):
+            np.multiply(s, 2.0, out=buf)
+            return buf
+
+        out = conservative_rhs(base, u, out=buf)
+        assert out is buf
+        assert np.array_equal(out, 2.0 * u - (2.0 * u).mean())

@@ -179,6 +179,12 @@ class TestPropagate:
         other = make_grid(1, 32, 2 * math.pi)
         with pytest.raises(ValueError):
             linear_propagate(np.zeros(other.shape), 1.0, 0.1, grid=g)
+        # shapes that broadcast against the 1-D symbol are rejected too
+        for state in (np.zeros((16, 16)), np.zeros((16, 16), dtype=complex)):
+            with pytest.raises(ValueError, match="shape"):
+                linear_propagate(state, 1.0, 0.1, grid=g)
+            with pytest.raises(ValueError, match="shape"):
+                linear_propagate(state, 1j, 0.1, grid=g)
 
 
 class TestHalfSpectrum:

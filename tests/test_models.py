@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from mpesplit import models
+from mpesplit.flows import fkpp_constant
 from mpesplit.grid import make_grid
 from mpesplit.models import (
     default_grid,
@@ -18,6 +20,12 @@ from mpesplit.models import (
     potential,
 )
 from mpesplit.schemes import apply, catalog
+from reference_flows import (
+    double_well_branches,
+    fkpp_branches,
+    reaction_rhs,
+    ssprk104_loop,
+)
 
 MPE_SCHEMES = ["sws2", "s3_1", "s3_2", "s4_1", "s4_2", "s4_3", "s4_4",
                "s6", "s8", "s10"]
@@ -376,3 +384,60 @@ class TestFlowPairs:
         u = initial_condition(m, g)
         flows = flow_pair(m, g)
         assert np.array_equal(flows.b_flow(0.2, u), flow_tanh(u, 1.0, 0.2))
+
+
+def _reference_rhs(model):
+    """The model's B-flow right-hand side as a plain allocating expression."""
+    M = model.M
+    if model.id == "ac":
+        return lambda u: double_well_branches(u, M)
+    if model.id == "cac":
+        def rhs(u):
+            f = double_well_branches(u, M)
+            return f - f.mean()
+        return rhs
+    if model.id == "fkpp":
+        return lambda u: fkpp_branches(u, M, fkpp_constant(5, 5))
+    p = model.params
+    return lambda s: reaction_rhs(s, p["k1_plus"], p["k1_minus"])
+
+
+class TestBufferedBFlows:
+    """The RK B flows of flow_pair against the reference right-hand sides."""
+
+    # ac with M = 0.5 leaves the window at once, so it takes the RK fallback
+    @pytest.mark.parametrize("model_id,overrides", [
+        ("ac", {"M": 0.5}), ("cac", {}), ("fkpp", {}), ("rd_system", {}),
+    ])
+    def test_matches_reference_rhs(self, model_id, overrides):
+        m = make_model(model_id, **overrides)
+        g = grid_for(m, 32)
+        state = initial_condition(m, g)
+        before = state.copy()
+        b_flow = flow_pair(m, g).b_flow
+        first = b_flow(0.01, state)
+        kept = first.copy()
+        ref = ssprk104_loop(_reference_rhs(m), state, 0.01)
+        assert np.max(np.abs(first - ref)) <= 1e-13 * np.max(np.abs(state))
+        b_flow(0.02, state)  # a second call must not reuse the first's result
+        assert np.array_equal(first, kept)
+        assert np.array_equal(state, before)
+
+    def test_reaction_components_are_exact_negatives(self, monkeypatch):
+        seen = []
+
+        def spy(f, v, tau, cfg=None):
+            seen.append(f)
+            return ssprk104_loop(f, v, tau)
+
+        monkeypatch.setattr(models, "ssprk104", spy)
+        m = make_model("rd_system")
+        g = grid_for(m, 32)
+        state = initial_condition(m, g)
+        flow_pair(m, g).b_flow(0.01, state)
+        rng = np.random.default_rng(17)
+        for s in (state, rng.uniform(0.1, 3.0, state.shape)):
+            out = seen[0](s)
+            assert np.array_equal(out[0], -out[1])
+            ref = reaction_rhs(s, m.params["k1_plus"], m.params["k1_minus"])
+            assert np.array_equal(out, ref)

@@ -296,6 +296,20 @@ class TestJsonRoundtrip:
         assert back.exact == s.exact
         assert back.terms == s.terms  # Fraction equality, exact
 
+    def test_exact_flag_written_and_read(self):
+        import dataclasses
+        import json
+
+        foil = catalog("s4_neg")
+        assert json.loads(scheme_to_json(foil))["exact"] is False
+        renamed = dataclasses.replace(foil, name="foil_copy")
+        assert scheme_from_json(scheme_to_json(renamed)).exact is False
+        # a document without the key falls back to the name
+        for name, expected in (("s4_neg", False), ("foil_copy", True)):
+            doc = json.loads(scheme_to_json(dataclasses.replace(foil, name=name)))
+            del doc["exact"]
+            assert scheme_from_json(json.dumps(doc)).exact is expected
+
     def test_rationals_are_strings(self):
         import json
 
