@@ -55,26 +55,22 @@ def _run_config_from_args(args) -> harness.RunConfig:
     return cfg
 
 
-def _emit_run(record: harness.RunRecord, cfg: harness.RunConfig):
-    stamp = datetime.now(timezone.utc).isoformat()
+def _run_and_emit(cfg: harness.RunConfig) -> int:
+    """Run; with an out_dir the run writes its files, else the diagnostics
+    go to stdout. Exit status 3 when the run diverged."""
+    record = harness.run(cfg)
     if cfg.out_dir:
-        grid = models.default_grid(record.model, cfg.nx)
-        harness.write_record(record, grid, timestamp=stamp)
         print(f"wrote {cfg.out_dir} (status: {record.status})")
+    elif cfg.format == "json":
+        print(harness.record_to_json(record))
     else:
-        if cfg.format == "json":
-            print(harness.record_to_json(record))
-        else:
-            sys.stdout.write(harness.diagnostics_csv(record, timestamp=stamp))
+        stamp = datetime.now(timezone.utc).isoformat()
+        sys.stdout.write(harness.diagnostics_csv(record, timestamp=stamp))
     return 0 if record.status == "ok" else 3
 
 
 def _cmd_run(args) -> int:
-    cfg = _run_config_from_args(args)
-    cfg.out_dir = None  # write once, below, with a timestamp
-    record = harness.run(cfg)
-    cfg.out_dir = args.out
-    return _emit_run(record, cfg)
+    return _run_and_emit(_run_config_from_args(args))
 
 
 def _cmd_preset(args) -> int:
@@ -93,10 +89,7 @@ def _cmd_preset(args) -> int:
     if args.dry_run:
         print(json.dumps(harness.asdict(cfg), indent=1, default=str))
         return 0
-    saved, cfg.out_dir = cfg.out_dir, None
-    record = harness.run(cfg)
-    cfg.out_dir = saved
-    return _emit_run(record, cfg)
+    return _run_and_emit(cfg)
 
 
 def _cmd_converge(args) -> int:
@@ -108,26 +101,21 @@ def _cmd_converge(args) -> int:
         ref_tau = _parse_number(args.ref_tau)
         ref_cfg = harness.RunConfig(
             model=args.model, scheme=args.ref_scheme, nx=args.nx, tau=ref_tau,
-            t_final=t_final, rk_substeps=args.rk_substeps or 4,
+            t_final=t_final, rk_substeps=args.rk_substeps,
             overrides=_parse_overrides(args.param),
         )
         reference = harness.run(ref_cfg).final_state
+    study = dict(nx=args.nx, rk_substeps=args.rk_substeps,
+                 overrides=_parse_overrides(args.param), allow_backward=args.allow_backward)
     if args.random_n:
         ns = [int(n) for n in args.random_n.split(",")]
-        report = harness.random_grid_study(
-            args.model, args.scheme, ns, reference, t_final,
-            nx=args.nx, seed=args.seed or 0,
-            overrides=_parse_overrides(args.param),
-        )
+        report = harness.random_grid_study(args.model, args.scheme, ns, reference, t_final,
+                                           seed=args.seed or 0, **study)
     else:
         if not taus:
             raise SystemExit("need --taus or --random-n")
-        report = harness.convergence_study(
-            args.model, args.scheme, taus, reference, t_final,
-            nx=args.nx, rk_substeps=args.rk_substeps or 4,
-            overrides=_parse_overrides(args.param),
-            allow_backward=args.allow_backward,
-        )
+        report = harness.convergence_study(args.model, args.scheme, taus, reference, t_final,
+                                           **study)
     text = harness.convergence_csv(report)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -232,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--reference", default="self", choices=["exact", "self"])
     sp.add_argument("--ref-scheme", dest="ref_scheme", default="s6")
     sp.add_argument("--ref-tau", dest="ref_tau", default="1/200")
-    sp.set_defaults(fn=_cmd_converge)
+    sp.set_defaults(fn=_cmd_converge, rk_substeps=4)
 
     sp = sub.add_parser("order-check", help="algebraic and empirical order report")
     sp.add_argument("--scheme", required=True)
@@ -253,7 +241,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

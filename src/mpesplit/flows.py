@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, _as_values, _like
-
 LN2 = math.log(2.0)
 
 
@@ -34,7 +32,7 @@ def flow_tanh(v, lam: float, tau: float):
     sinh overflows for |v| above ~710, and exp(lam*tau) can overflow on its
     own, so large arguments are handled through log(sinh|v|) + lam*tau.
     """
-    x = np.asarray(_as_values(v), dtype=float)
+    x = np.asarray(v, dtype=float)
     av = np.abs(x)
     sign = np.sign(x)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -45,8 +43,7 @@ def flow_tanh(v, lam: float, tau: float):
         direct = np.arcsinh(np.sinh(np.where(direct_ok, x, 0.0)) * np.exp(lam * tau))
         via_log = np.arcsinh(sign * np.exp(np.where(t <= 30.0, t, 0.0)))
         asym = sign * (t + LN2)  # arcsinh(x) -> log(2x), error < 1/(4 x^2)
-    out = np.where(direct_ok, direct, np.where(t <= 30.0, via_log, asym))
-    return _like(v, out)
+    return np.where(direct_ok, direct, np.where(t <= 30.0, via_log, asym))
 
 
 def flow_double_well(v, tau: float, bound: float | None = None):
@@ -57,23 +54,20 @@ def flow_double_well(v, tau: float, bound: float | None = None):
     result, not a crash). If bound is given, inputs beyond it are rejected,
     since there the closed form no longer matches the truncated nonlinearity.
     """
-    x = np.asarray(_as_values(v), dtype=float)
+    x = np.asarray(v, dtype=float)
     if bound is not None:
         mx = float(np.max(np.abs(x)))
         if mx > bound:
             raise ValueError(f"flow_double_well: max |v| = {mx} exceeds bound {bound}")
     et = math.exp(tau)
     with np.errstate(invalid="ignore", over="ignore"):
-        out = et * x / np.sqrt(1.0 + (et * et - 1.0) * x * x)
-    return _like(v, out)
+        return et * x / np.sqrt(1.0 + (et * et - 1.0) * x * x)
 
 
 def flow_phase(v, omega, rho: float, tau: float):
     """Exact flow of u' = i*(omega + rho*|u|^2)*u; |u| is pointwise invariant."""
-    x = np.asarray(_as_values(v))
-    w = _as_values(omega)
-    out = np.exp(1j * tau * (w + rho * (x.real**2 + x.imag**2))) * x
-    return _like(v, out, scalar_kind="complex")
+    x = np.asarray(v)
+    return np.exp(1j * tau * (omega + rho * (x.real**2 + x.imag**2))) * x
 
 
 def ssprk104(f, v, tau: float, cfg: RkConfig | None = None):
@@ -88,8 +82,7 @@ def ssprk104(f, v, tau: float, cfg: RkConfig | None = None):
     input or a buffer f reuses, and it never writes into v.
     """
     cfg = cfg or RkConfig()
-    x = _as_values(v)
-    q2 = np.array(x, dtype=np.result_type(x, float))
+    q2 = np.array(v, dtype=np.result_type(v, float))
     q1 = np.empty_like(q2)
     k = np.empty_like(q2)
     dt = tau / cfg.substeps
@@ -114,7 +107,7 @@ def ssprk104(f, v, tau: float, cfg: RkConfig | None = None):
         q1 *= 0.6
         q2 += q1
         q2 += k
-    return _like(v, q2)
+    return q2
 
 
 def _buffers(u, out, work):
@@ -196,6 +189,5 @@ def conservative_rhs(f_base, field, out=None):
     The result goes to out when given, which may be the array f_base
     returned; otherwise to a new array, so f_base's output is never modified.
     """
-    fv = np.asarray(f_base(_as_values(field)))
-    out = np.subtract(fv, fv.mean(), out=out)
-    return _like(field, out)
+    fv = np.asarray(f_base(field))
+    return np.subtract(fv, fv.mean(), out=out)

@@ -129,6 +129,7 @@ def make_grid(dim: int, n_per_axis: int, length: float) -> SpectralGrid:
 
 @dataclass
 class Field:
+    """A state with its grid, as `save_field` writes and `load_field` reads it."""
     grid: SpectralGrid
     values: np.ndarray
     scalar_kind: str = "real"  # "real" | "complex"
@@ -160,19 +161,8 @@ def laplacian_symbol(grid: SpectralGrid, index) -> float:
     return float(sum((2.0 * math.pi * p / grid.length) ** 2 for p in index))
 
 
-def _as_values(x):
-    return x.values if isinstance(x, Field) else x
-
-
-def _like(x, values, scalar_kind=None):
-    if isinstance(x, Field):
-        kind = scalar_kind or x.scalar_kind
-        return Field(x.grid, values, kind)
-    return values
-
-
-def linear_propagate(field, nu: complex, tau: float, grid: SpectralGrid | None = None,
-                     allow_backward: bool = False):
+def linear_propagate(values: np.ndarray, nu: complex, tau: float, grid: SpectralGrid,
+                     allow_backward: bool = False) -> np.ndarray:
     """Apply exp(tau * nu * Laplacian) via the Fourier multiplier exp(-tau*nu*lambda).
 
     A real state with real nu goes through `rfftn`/`irfftn` and the grid's
@@ -184,23 +174,16 @@ def linear_propagate(field, nu: complex, tau: float, grid: SpectralGrid | None =
     rejected unless allow_backward is set (the negative-coefficient scheme
     needs it, and accepts the consequences).
     """
-    if isinstance(field, Field):
-        grid = field.grid
-    if grid is None:
-        raise ValueError("grid required when propagating a bare array")
     nu = complex(nu)
     if tau < 0 and nu.real > 0 and nu.imag == 0 and not allow_backward:
         raise ValueError("backward step with dissipative nu requires allow_backward")
-    values = _as_values(field)
     if np.shape(values) != grid.shape:
         raise ValueError(f"state shape {np.shape(values)} does not match grid {grid.shape}")
     if nu.imag == 0 and np.isrealobj(values):
         mult = np.exp(-tau * nu.real * grid._lam_half)
-        out = _fft.irfftn(mult * _fft.rfftn(values), s=values.shape)
-        return _like(field, out)
+        return _fft.irfftn(mult * _fft.rfftn(values), s=values.shape)
     mult = np.exp(-tau * nu * grid._lam)
-    out = _fft.ifftn(mult * _fft.fftn(values))
-    return _like(field, out, scalar_kind="complex")
+    return _fft.ifftn(mult * _fft.fftn(values))
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,12 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, asdict
+from datetime import datetime, timezone
 
 import numpy as np
 
 from . import models as _models
-from .grid import Field, make_grid, save_field
+from .grid import Field, save_field
 from .schemes import apply, catalog
 from .models import (
     ModelSpec,
@@ -33,7 +34,7 @@ from .models import (
 
 @dataclass
 class RunConfig:
-    model: str = "toy"
+    model: str = _models.DEFAULT_MODEL
     scheme: str = "strang_a"
     nx: int | None = None
     tau: float = 0.01
@@ -109,11 +110,7 @@ def run(config: RunConfig) -> RunRecord:
         raise ValueError(f"scheme {scheme.name} needs allow_backward")
     flows = flow_pair(model, grid, config.rk_substeps, config.allow_backward)
     state = initial_condition(model, grid)
-
-    if model.id == "fkpp":
-        lo, hi = float(state.min()), float(state.max())
-        if lo < 0.05 - 1e-12 or hi > 0.95 + 1e-12:
-            raise ValueError(f"fkpp initial data outside [0.05, 0.95]: [{lo}, {hi}]")
+    monitor = _models._MODELS[model.id].monitor
 
     controller = StepController(config.tau_min, config.tau_max, config.alpha)
     rows = [_diag_row(model, 0, 0.0, 0.0, state, grid)]
@@ -146,16 +143,12 @@ def run(config: RunConfig) -> RunRecord:
                 controller.record(t, row[3])
             if need_diag:
                 rows.append(row)
-        if model.id == "rd_system":
-            peak = max_norm(state) if row is None else row[5]
-            if peak > model.M:
-                raise RuntimeError(
-                    f"rd_system monitor: max norm exceeded M={model.M} at step {step}"
-                )
+        if monitor is not None:
+            monitor(model, step, max_norm(state) if row is None else row[5])
 
     record = RunRecord(config, model, rows, state, status, diverged_step)
     if config.out_dir:
-        write_record(record, grid)
+        write_record(record, grid, timestamp=datetime.now(timezone.utc).isoformat())
     return record
 
 
@@ -226,20 +219,46 @@ class ConvergenceReport:
         return out
 
 
-def _run_sequence(scheme, flows, taus, state):
-    for tau in taus:
-        state = apply(scheme, flows, tau, state)
-        if not np.all(np.isfinite(state)):
-            raise FloatingPointError("state diverged during convergence run")
-    return state
-
-
 def _steps_for(tau, t_final):
     n = round(t_final / tau)
     if abs(n * tau - t_final) < 1e-12 * t_final:
         return [tau] * int(n)
     n = int(math.floor(t_final / tau))
     return [tau] * n + [t_final - n * tau]
+
+
+def _study(model_id, scheme_name, taus, step_lists, reference, t_final, nx, rk_substeps,
+           overrides, with_l2, allow_backward) -> ConvergenceReport:
+    """Errors of runs over each step list against the reference; the report
+    lists them against taus."""
+    model = make_model(model_id, **(overrides or {}))
+    grid = default_grid(model, nx)
+    scheme = catalog(scheme_name)
+    flows = flow_pair(model, grid, rk_substeps, allow_backward)
+    u0 = initial_condition(model, grid)
+    if isinstance(reference, str):
+        if reference != "exact":
+            raise ValueError("reference must be 'exact', a RunRecord, or a state array")
+        ref_state = _models.exact_solution(model, t_final, grid)
+    else:
+        if isinstance(reference, RunRecord):
+            reference = reference.final_state
+        ref_state = np.asarray(reference)
+        if ref_state.shape != u0.shape:
+            raise ValueError("reference grid does not match study grid")
+    errors_inf, errors_l2 = [], []
+    for steps in step_lists:
+        state = u0  # apply never writes into the state it is given
+        for tau in steps:
+            state = apply(scheme, flows, tau, state)
+            if not np.all(np.isfinite(state)):
+                raise FloatingPointError("state diverged during convergence run")
+        diff = np.abs(state - ref_state)
+        errors_inf.append(float(diff.max()))
+        errors_l2.append(float(math.sqrt(grid.h**grid.dim * float((diff**2).sum()))))
+    report = ConvergenceReport(taus, errors_inf, [], errors_l2 if with_l2 else None)
+    report.rates = report.recompute_rates()
+    return report
 
 
 def convergence_study(model_id: str, scheme_name: str, tau_ladder, reference,
@@ -251,30 +270,9 @@ def convergence_study(model_id: str, scheme_name: str, tau_ladder, reference,
     reference is either the string "exact" (models with a printed solution)
     or a state array on the same grid (no interpolation is done, by design).
     """
-    model = make_model(model_id, **(overrides or {}))
-    grid = default_grid(model, nx)
-    scheme = catalog(scheme_name)
-    flows = flow_pair(model, grid, rk_substeps, allow_backward)
-    if isinstance(reference, str):
-        if reference != "exact":
-            raise ValueError("reference must be 'exact', a RunRecord, or a state array")
-        ref_state = _models.exact_solution(model, t_final, grid)
-    else:
-        if isinstance(reference, RunRecord):
-            reference = reference.final_state
-        ref_state = np.asarray(reference)
-        if ref_state.shape != initial_condition(model, grid).shape:
-            raise ValueError("reference grid does not match study grid")
-    errors_inf, errors_l2 = [], []
     taus = [float(t) for t in tau_ladder]
-    for tau in taus:
-        state = _run_sequence(scheme, flows, _steps_for(tau, t_final), initial_condition(model, grid))
-        diff = np.abs(state - ref_state)
-        errors_inf.append(float(diff.max()))
-        errors_l2.append(float(math.sqrt(grid.h**grid.dim * float((diff**2).sum()))))
-    report = ConvergenceReport(taus, errors_inf, [], errors_l2 if with_l2 else None)
-    report.rates = report.recompute_rates()
-    return report
+    return _study(model_id, scheme_name, taus, [_steps_for(tau, t_final) for tau in taus],
+                  reference, t_final, nx, rk_substeps, overrides, with_l2, allow_backward)
 
 
 def random_subdivisions(t_final: float, n: int, rng) -> list:
@@ -291,28 +289,14 @@ def random_subdivisions(t_final: float, n: int, rng) -> list:
 
 def random_grid_study(model_id: str, scheme_name: str, n_ladder, reference,
                       t_final: float, nx: int | None = None, seed: int = 0,
-                      rk_substeps: int = 4, overrides: dict | None = None) -> ConvergenceReport:
-    """Convergence on random time grids; tau(N) is the largest subinterval."""
-    model = make_model(model_id, **(overrides or {}))
-    grid = default_grid(model, nx)
-    scheme = catalog(scheme_name)
-    flows = flow_pair(model, grid, rk_substeps, False)
-    if isinstance(reference, str):
-        ref_state = _models.exact_solution(model, t_final, grid)
-    else:
-        if isinstance(reference, RunRecord):
-            reference = reference.final_state
-        ref_state = np.asarray(reference)
+                      rk_substeps: int = 4, overrides: dict | None = None,
+                      with_l2: bool = False, allow_backward: bool = False) -> ConvergenceReport:
+    """Convergence on random time grids; tau(N) is the largest subinterval.
+    reference is as for convergence_study."""
     rng = np.random.default_rng(seed)
-    taus_eff, errors = [], []
-    for n in n_ladder:
-        steps = random_subdivisions(t_final, int(n), rng)
-        state = _run_sequence(scheme, flows, steps, initial_condition(model, grid))
-        taus_eff.append(max(steps))
-        errors.append(float(np.max(np.abs(state - ref_state))))
-    report = ConvergenceReport(taus_eff, errors, [])
-    report.rates = report.recompute_rates()
-    return report
+    step_lists = [random_subdivisions(t_final, int(n), rng) for n in n_ladder]
+    return _study(model_id, scheme_name, [max(steps) for steps in step_lists], step_lists,
+                  reference, t_final, nx, rk_substeps, overrides, with_l2, allow_backward)
 
 
 def convergence_csv(report: ConvergenceReport) -> str:

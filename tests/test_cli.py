@@ -217,6 +217,42 @@ class TestConverge:
                   "--nx", "32", "--tfinal", "0.4"])
 
 
+    @pytest.mark.parametrize("ladder", [("--taus", "0.2,0.1"), ("--random-n", "4,8")])
+    def test_rk_substeps_reach_both_studies(self, capsys, ladder):
+        code, _, err = run_cli(capsys, "converge", "--model", "nls_linear",
+                               "--scheme", "strang_a", "--nx", "16", *ladder,
+                               "--reference", "exact", "--tfinal", "0.4",
+                               "--rk-substeps", "0")
+        assert code == 2
+        assert "substeps must be >= 1" in err
+
+    @pytest.mark.parametrize("ladder", [("--taus", "0.1,0.05"), ("--random-n", "2,4")])
+    def test_allow_backward_reaches_both_studies(self, capsys, ladder):
+        code, out, _ = run_cli(capsys, "converge", "--model", "ac", "--scheme", "s4_neg",
+                               "--nx", "16", *ladder, "--tfinal", "0.2",
+                               "--ref-scheme", "strang_a", "--ref-tau", "0.05",
+                               "--allow-backward")
+        assert code == 0
+        assert len(out.strip().split("\n")) == 3
+
+
+class TestRuntimeErrors:
+    """A RuntimeError from the library is one error line and exit 2."""
+
+    @pytest.mark.parametrize("argv,reason", [
+        (("run", "--model", "rd_system", "--scheme", "lie1", "--nx", "32",
+          "--tau", "1e-3", "--tfinal", "0.01", "--param", "M=1"), "monitor"),
+        (("converge", "--model", "ac", "--scheme", "s4_neg", "--nx", "16",
+          "--taus", "0.1,0.05", "--tfinal", "0.2", "--ref-scheme", "strang_a",
+          "--ref-tau", "0.05"), "allow_backward"),
+    ])
+    def test_reported_and_exit_2(self, capsys, argv, reason):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert reason in err
+
+
 class TestOrderCheck:
     def test_json_report(self, capsys):
         code, out, _ = run_cli(capsys, "order-check", "--scheme", "strang_a")
