@@ -8,8 +8,10 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict, fields, replace
 from datetime import datetime, timezone
 from fractions import Fraction
+from functools import partial
 
 from . import harness, models, order, schemes
 
@@ -21,38 +23,40 @@ def _parse_number(text: str) -> float:
     return float(text)
 
 
-def _parse_overrides(pairs):
-    out = {}
-    for pair in pairs or []:
-        key, _, val = pair.partition("=")
-        if not _:
-            raise SystemExit(f"bad --param {pair!r}, expected KEY=VALUE")
-        out[key] = _parse_number(val)
-    return out
+def _number_list(text: str) -> list:
+    return [_parse_number(t) for t in text.split(",")]
 
 
-def _run_config_from_args(args) -> harness.RunConfig:
-    base = {}
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            base = json.load(fh)
-    cfg = harness.RunConfig(**base)
-    for name, attr in [
-        ("model", "model"), ("scheme", "scheme"), ("nx", "nx"), ("tau", "tau"),
-        ("tfinal", "t_final"), ("tau_min", "tau_min"), ("tau_max", "tau_max"),
-        ("alpha", "alpha"), ("out", "out_dir"), ("seed", "seed"),
-        ("format", "format"), ("rk_substeps", "rk_substeps"),
-    ]:
-        val = getattr(args, name, None)
-        if val is not None:
-            setattr(cfg, attr, val)
-    if getattr(args, "adaptive", False):
-        cfg.adaptive = True
-    if getattr(args, "allow_backward", False):
-        cfg.allow_backward = True
-    if getattr(args, "param", None):
-        cfg.overrides = {**cfg.overrides, **_parse_overrides(args.param)}
-    return cfg
+def _int_list(text: str) -> list:
+    return [int(n) for n in text.split(",")]
+
+
+def _param(text: str) -> tuple:
+    """One --param KEY=VALUE pair; argparse rejects a malformed one (exit 2)."""
+    key, sep, val = text.partition("=")
+    if not sep:
+        raise argparse.ArgumentTypeError(f"bad --param {text!r}, expected KEY=VALUE")
+    return key, _parse_number(val)
+
+
+def _load_config(path: str) -> harness.RunConfig:
+    with open(path) as fh:
+        doc = json.load(fh)
+    try:
+        return harness.RunConfig(**doc)
+    except TypeError as exc:  # not an object, or a key RunConfig lacks
+        raise ValueError(f"config {path}: {exc}") from None
+
+
+def _run_config_from_args(args, base: harness.RunConfig) -> harness.RunConfig:
+    """The one way the CLI builds a RunConfig: base with every flag given on
+    the command line laid over it. Each flag's argparse dest is the name of
+    the field it sets; --param pairs are merged into base.overrides."""
+    given = {f.name: getattr(args, f.name) for f in fields(base)
+             if getattr(args, f.name, None) is not None}
+    if "overrides" in given:
+        given["overrides"] = {**base.overrides, **dict(given["overrides"])}
+    return replace(base, **given)
 
 
 def _run_and_emit(cfg: harness.RunConfig) -> int:
@@ -70,56 +74,38 @@ def _run_and_emit(cfg: harness.RunConfig) -> int:
 
 
 def _cmd_run(args) -> int:
-    return _run_and_emit(_run_config_from_args(args))
+    base = _load_config(args.config) if args.config else harness.RunConfig()
+    return _run_and_emit(_run_config_from_args(args, base))
 
 
 def _cmd_preset(args) -> int:
-    over = {k: getattr(args, k, None) for k in ("nx", "tau", "seed")}
-    if args.tfinal is not None:
-        over["t_final"] = args.tfinal
-    cfg = harness.preset(args.name, **over)
-    if args.out is not None:
-        cfg.out_dir = args.out
-    if args.format is not None:
-        cfg.format = args.format
-    if args.allow_backward:
-        cfg.allow_backward = True
-    if args.scheme is not None:
-        cfg.scheme = args.scheme
+    cfg = _run_config_from_args(args, harness.preset(args.name))
     if args.dry_run:
-        print(json.dumps(harness.asdict(cfg), indent=1, default=str))
+        print(json.dumps(asdict(cfg), indent=1, default=str))
         return 0
     return _run_and_emit(cfg)
 
 
 def _cmd_converge(args) -> int:
-    taus = [_parse_number(t) for t in args.taus.split(",")] if args.taus else None
-    t_final = args.tfinal
+    cfg = _run_config_from_args(args, harness.RunConfig())
     if args.reference == "exact":
         reference = "exact"
     else:
-        ref_tau = _parse_number(args.ref_tau)
-        ref_cfg = harness.RunConfig(
-            model=args.model, scheme=args.ref_scheme, nx=args.nx, tau=ref_tau,
-            t_final=t_final, rk_substeps=args.rk_substeps,
-            overrides=_parse_overrides(args.param),
-        )
-        reference = harness.run(ref_cfg).final_state
-    study = dict(nx=args.nx, rk_substeps=args.rk_substeps,
-                 overrides=_parse_overrides(args.param), allow_backward=args.allow_backward)
-    if args.random_n:
-        ns = [int(n) for n in args.random_n.split(",")]
-        report = harness.random_grid_study(args.model, args.scheme, ns, reference, t_final,
-                                           seed=args.seed or 0, **study)
+        ref = harness.run(replace(cfg, scheme=args.ref_scheme, tau=args.ref_tau, out_dir=None))
+        if ref.status != "ok":
+            raise FloatingPointError(f"reference run diverged at step {ref.diverged_step}")
+        reference = ref.final_state
+    if args.taus:
+        study, ladder = harness.convergence_study, args.taus
     else:
-        if not taus:
-            raise SystemExit("need --taus or --random-n")
-        report = harness.convergence_study(args.model, args.scheme, taus, reference, t_final,
-                                           **study)
+        study, ladder = partial(harness.random_grid_study, seed=args.seed), args.random_n
+    report = study(cfg.model, cfg.scheme, ladder, reference, cfg.t_final, nx=cfg.nx,
+                   rk_substeps=cfg.rk_substeps, overrides=cfg.overrides,
+                   allow_backward=cfg.allow_backward)
     text = harness.convergence_csv(report)
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "convergence.csv")
+    if cfg.out_dir:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+        path = os.path.join(cfg.out_dir, "convergence.csv")
         with open(path, "w") as fh:
             fh.write(text)
         print(f"wrote {path}")
@@ -131,11 +117,7 @@ def _cmd_converge(args) -> int:
 def _cmd_order_check(args) -> int:
     scheme = schemes.catalog(args.scheme)
     reports = order.verify_conditions(scheme, args.up_to)
-    if args.ladder:
-        ladder = [_parse_number(t) for t in args.ladder.split(",")]
-    else:
-        ladder = None
-    fit = order.empirical_order(scheme, tau_ladder=ladder)
+    fit = order.empirical_order(scheme, tau_ladder=args.ladder)
     doc = {
         "scheme": scheme.name,
         "claimed_order": scheme.claimed_order,
@@ -184,24 +166,26 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="operator-splitting integrators and benchmarks")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_run_flags(sp, with_scheme_default=True):
-        sp.add_argument("--model")
+    # dest = the RunConfig field a flag sets (see _run_config_from_args);
+    # store_true flags default to None so an absent flag keeps the base's value.
+    def add_run_flags(sp):
         sp.add_argument("--scheme")
         sp.add_argument("--nx", type=int)
-        sp.add_argument("--tau", type=_parse_number)
-        sp.add_argument("--tfinal", type=_parse_number)
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--out")
-        sp.add_argument("--format", choices=["csv", "json"])
-        sp.add_argument("--allow-backward", action="store_true", dest="allow_backward")
-        sp.add_argument("--param", action="append", metavar="KEY=VALUE")
-        sp.add_argument("--rk-substeps", type=int, dest="rk_substeps")
+        sp.add_argument("--tfinal", type=_parse_number, dest="t_final", metavar="TFINAL")
+        sp.add_argument("--out", dest="out_dir", metavar="DIR")
+        sp.add_argument("--allow-backward", action="store_true", default=None)
+        sp.add_argument("--param", action="append", type=_param, dest="overrides",
+                        metavar="KEY=VALUE")
+        sp.add_argument("--rk-substeps", type=int)
 
     sp = sub.add_parser("run", help="single time integration run")
+    sp.add_argument("--model")
     add_run_flags(sp)
-    sp.add_argument("--adaptive", action="store_true")
-    sp.add_argument("--tau-min", type=_parse_number, dest="tau_min")
-    sp.add_argument("--tau-max", type=_parse_number, dest="tau_max")
+    sp.add_argument("--tau", type=_parse_number)
+    sp.add_argument("--format", choices=["csv", "json"])
+    sp.add_argument("--adaptive", action="store_true", default=None)
+    sp.add_argument("--tau-min", type=_parse_number)
+    sp.add_argument("--tau-max", type=_parse_number)
     sp.add_argument("--alpha", type=_parse_number)
     sp.add_argument("--config", help="JSON file mirroring RunConfig; flags override")
     sp.set_defaults(fn=_cmd_run)
@@ -209,23 +193,29 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("preset", help="run a named experiment preset")
     sp.add_argument("name", choices=harness.preset_names())
     add_run_flags(sp)
-    sp.add_argument("--dry-run", action="store_true", dest="dry_run")
+    sp.add_argument("--tau", type=_parse_number)
+    sp.add_argument("--format", choices=["csv", "json"])
+    sp.add_argument("--dry-run", action="store_true")
     sp.set_defaults(fn=_cmd_preset)
 
     sp = sub.add_parser("converge", help="convergence study against a reference")
+    sp.add_argument("--model")
     add_run_flags(sp)
-    sp.add_argument("--taus", help="comma-separated ladder, fractions allowed")
-    sp.add_argument("--random-n", dest="random_n",
-                    help="comma-separated counts of random subintervals")
+    ladder = sp.add_mutually_exclusive_group(required=True)
+    ladder.add_argument("--taus", type=_number_list,
+                        help="comma-separated ladder, fractions allowed")
+    ladder.add_argument("--random-n", type=_int_list,
+                        help="comma-separated counts of random subintervals")
+    sp.add_argument("--seed", type=int, default=0, help="seed of the --random-n subdivisions")
     sp.add_argument("--reference", default="self", choices=["exact", "self"])
-    sp.add_argument("--ref-scheme", dest="ref_scheme", default="s6")
-    sp.add_argument("--ref-tau", dest="ref_tau", default="1/200")
-    sp.set_defaults(fn=_cmd_converge, rk_substeps=4)
+    sp.add_argument("--ref-scheme", default="s6")
+    sp.add_argument("--ref-tau", type=_parse_number, default="1/200")
+    sp.set_defaults(fn=_cmd_converge)
 
     sp = sub.add_parser("order-check", help="algebraic and empirical order report")
     sp.add_argument("--scheme", required=True)
     sp.add_argument("--up-to", type=int, default=3, dest="up_to", choices=[1, 2, 3])
-    sp.add_argument("--ladder", help="comma-separated tau ladder")
+    sp.add_argument("--ladder", type=_number_list, help="comma-separated tau ladder")
     sp.set_defaults(fn=_cmd_order_check)
 
     sp = sub.add_parser("list-schemes", help="catalog of named schemes")
@@ -244,6 +234,9 @@ def main(argv=None) -> int:
     except (KeyError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except FloatingPointError as exc:  # a study diverged; run() records it instead
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

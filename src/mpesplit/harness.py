@@ -45,7 +45,6 @@ class RunConfig:
     alpha: float = 1e6
     diagnostics_every: int = 1
     out_dir: str | None = None
-    seed: int = 0
     format: str = "csv"
     allow_backward: bool = False
     rk_substeps: int = 4
@@ -102,19 +101,25 @@ def _diag_row(model, step, t, tau, state, grid):
     return (step, t, tau, energy(model, state, grid), mass(model, state, grid), max_norm(state))
 
 
-def run(config: RunConfig) -> RunRecord:
+def _setup(config: RunConfig):
+    """(model, grid, scheme, flows, u0) of a run or a study; the one place a
+    scheme with negative coefficients is refused without allow_backward."""
     model = make_model(config.model, **config.overrides)
     grid = default_grid(model, config.nx)
     scheme = catalog(config.scheme)
     if scheme.scheme_class == "spe_negative" and not config.allow_backward:
         raise ValueError(f"scheme {scheme.name} needs allow_backward")
     flows = flow_pair(model, grid, config.rk_substeps, config.allow_backward)
-    state = initial_condition(model, grid)
+    return model, grid, scheme, flows, initial_condition(model, grid)
+
+
+def run(config: RunConfig) -> RunRecord:
+    model, grid, scheme, flows, state = _setup(config)
     monitor = _models._MODELS[model.id].monitor
 
-    controller = StepController(config.tau_min, config.tau_max, config.alpha)
     rows = [_diag_row(model, 0, 0.0, 0.0, state, grid)]
     if config.adaptive:
+        controller = StepController(config.tau_min, config.tau_max, config.alpha)
         controller.record(0.0, rows[0][3])
 
     status, diverged_step = "ok", None
@@ -227,19 +232,14 @@ def _steps_for(tau, t_final):
     return [tau] * n + [t_final - n * tau]
 
 
-def _study(model_id, scheme_name, taus, step_lists, reference, t_final, nx, rk_substeps,
-           overrides, with_l2, allow_backward) -> ConvergenceReport:
+def _study(config: RunConfig, taus, step_lists, reference, with_l2) -> ConvergenceReport:
     """Errors of runs over each step list against the reference; the report
     lists them against taus."""
-    model = make_model(model_id, **(overrides or {}))
-    grid = default_grid(model, nx)
-    scheme = catalog(scheme_name)
-    flows = flow_pair(model, grid, rk_substeps, allow_backward)
-    u0 = initial_condition(model, grid)
+    model, grid, scheme, flows, u0 = _setup(config)
     if isinstance(reference, str):
         if reference != "exact":
             raise ValueError("reference must be 'exact', a RunRecord, or a state array")
-        ref_state = _models.exact_solution(model, t_final, grid)
+        ref_state = _models.exact_solution(model, config.t_final, grid)
     else:
         if isinstance(reference, RunRecord):
             reference = reference.final_state
@@ -270,9 +270,10 @@ def convergence_study(model_id: str, scheme_name: str, tau_ladder, reference,
     reference is either the string "exact" (models with a printed solution)
     or a state array on the same grid (no interpolation is done, by design).
     """
+    config = RunConfig(model_id, scheme_name, nx, t_final=t_final, rk_substeps=rk_substeps,
+                       overrides=overrides or {}, allow_backward=allow_backward)
     taus = [float(t) for t in tau_ladder]
-    return _study(model_id, scheme_name, taus, [_steps_for(tau, t_final) for tau in taus],
-                  reference, t_final, nx, rk_substeps, overrides, with_l2, allow_backward)
+    return _study(config, taus, [_steps_for(tau, t_final) for tau in taus], reference, with_l2)
 
 
 def random_subdivisions(t_final: float, n: int, rng) -> list:
@@ -293,10 +294,11 @@ def random_grid_study(model_id: str, scheme_name: str, n_ladder, reference,
                       with_l2: bool = False, allow_backward: bool = False) -> ConvergenceReport:
     """Convergence on random time grids; tau(N) is the largest subinterval.
     reference is as for convergence_study."""
+    config = RunConfig(model_id, scheme_name, nx, t_final=t_final, rk_substeps=rk_substeps,
+                       overrides=overrides or {}, allow_backward=allow_backward)
     rng = np.random.default_rng(seed)
     step_lists = [random_subdivisions(t_final, int(n), rng) for n in n_ladder]
-    return _study(model_id, scheme_name, [max(steps) for steps in step_lists], step_lists,
-                  reference, t_final, nx, rk_substeps, overrides, with_l2, allow_backward)
+    return _study(config, [max(steps) for steps in step_lists], step_lists, reference, with_l2)
 
 
 def convergence_csv(report: ConvergenceReport) -> str:

@@ -132,6 +132,21 @@ class TestRun:
         assert code == 3
         assert "# diverged at step" in out
 
+    def test_fixed_step_ignores_controller_bounds(self, capsys):
+        code, out, _ = run_cli(capsys, "run", "--model", "toy", "--scheme", "lie1",
+                               "--nx", "16", "--tau", "0.1", "--tfinal", "0.2",
+                               "--tau-min", "0.5", "--tau-max", "0.1", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["status"] == "ok"
+
+    def test_config_file_with_unknown_key_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "toy", "bogus": 1}))
+        code, _, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "bogus" in err
+
     def test_adaptive_flags(self, capsys):
         code, out, _ = run_cli(capsys, "run", "--model", "cac", "--scheme", "s4_3",
                                "--nx", "32", "--adaptive", "--tau-min", "0.05",
@@ -159,6 +174,19 @@ class TestPreset:
         assert code == 0
         assert doc["nx"] == 64 and doc["tau"] == 0.1
         assert doc["t_final"] == 6.0  # untouched
+
+    def test_dry_run_param_and_rk_substeps(self, capsys):
+        code, out, _ = run_cli(capsys, "preset", "fkpp", "--dry-run", "--param", "M=1",
+                               "--rk-substeps", "2")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["overrides"] == {"M": 1.0} and doc["rk_substeps"] == 2
+        assert doc["model"] == "fkpp"
+
+    def test_model_flag_rejected(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["preset", "fkpp", "--dry-run", "--model", "ac"])
+        assert exc.value.code == 2
 
     def test_execution(self, capsys):
         code, out, _ = run_cli(capsys, "preset", "nls_nonlinear", "--nx", "32",
@@ -215,6 +243,56 @@ class TestConverge:
         with pytest.raises(SystemExit):
             main(["converge", "--model", "toy", "--scheme", "lie1",
                   "--nx", "32", "--tfinal", "0.4"])
+
+    @pytest.mark.parametrize("argv", [
+        ("run", "--model", "toy", "--param", "lam"),
+        ("converge", "--model", "toy", "--scheme", "lie1", "--nx", "16", "--tfinal", "0.4"),
+        ("converge", "--model", "toy", "--scheme", "lie1", "--nx", "16", "--tfinal", "0.4",
+         "--taus", "0.2,0.1", "--random-n", "4,8"),
+    ])
+    def test_rejected_with_exit_2_before_any_run(self, monkeypatch, argv):
+        def no_run(*_args, **_kwargs):
+            raise AssertionError("integrated before the command line was checked")
+        monkeypatch.setattr("mpesplit.harness.run", no_run)
+        monkeypatch.setattr("mpesplit.harness.convergence_study", no_run)
+        monkeypatch.setattr("mpesplit.harness.random_grid_study", no_run)
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+
+    def test_t_final_defaults_to_one(self, capsys):
+        argv = ("converge", "--model", "nls_linear", "--scheme", "strang_a", "--nx", "16",
+                "--taus", "0.5,0.25", "--reference", "exact")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert run_cli(capsys, *argv, "--tfinal", "1") == (0, out, "")
+
+    def test_backward_scheme_without_flag_exits_2(self, capsys):
+        code, _, err = run_cli(capsys, "converge", "--model", "nls_linear",
+                               "--scheme", "s4_neg", "--nx", "16", "--taus", "0.2,0.1",
+                               "--reference", "exact", "--tfinal", "0.4")
+        assert code == 2
+        assert "allow_backward" in err
+
+    def test_allow_backward_reaches_self_reference(self, capsys):
+        code, out, _ = run_cli(capsys, "converge", "--model", "ac", "--scheme", "strang_a",
+                               "--nx", "16", "--taus", "0.1,0.05", "--tfinal", "0.2",
+                               "--ref-scheme", "s4_neg", "--ref-tau", "0.05",
+                               "--allow-backward")
+        assert code == 0
+        assert len(out.strip().split("\n")) == 3
+
+    @pytest.mark.parametrize("schemes", [("s4_neg", "strang_a", "1"), ("strang_a", "s4_neg", "40")])
+    def test_divergence_exits_3(self, capsys, schemes):
+        scheme, ref_scheme, ref_tau = schemes
+        code, out, err = run_cli(capsys, "converge", "--model", "ac", "--scheme", scheme,
+                                 "--allow-backward", "--nx", "32", "--taus", "40,20",
+                                 "--tfinal", "80", "--ref-scheme", ref_scheme,
+                                 "--ref-tau", ref_tau)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "diverged" in err
 
 
     @pytest.mark.parametrize("ladder", [("--taus", "0.2,0.1"), ("--random-n", "4,8")])

@@ -258,6 +258,15 @@ class TestConvergence:
         with pytest.raises(ValueError, match="exact"):
             convergence_study("toy", "lie1", [0.1], "fine", t_final=0.5, nx=32)
 
+    @pytest.mark.parametrize("study,ladder", [(convergence_study, [0.2, 0.1]),
+                                              (random_grid_study, [2, 4])])
+    def test_negative_coefficient_scheme_needs_flag(self, study, ladder):
+        with pytest.raises(ValueError, match="allow_backward"):
+            study("nls_linear", "s4_neg", ladder, "exact", t_final=0.4, nx=16)
+        rep = study("nls_linear", "s4_neg", ladder, "exact", t_final=0.4, nx=16,
+                    allow_backward=True)
+        assert all(math.isfinite(e) for e in rep.errors_inf)
+
     def test_l2_errors_optional(self):
         rep = convergence_study("nls_nonlinear", "strang_a", [0.1, 0.05], "exact",
                                 t_final=0.5, nx=32, with_l2=True)
