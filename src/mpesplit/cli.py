@@ -19,7 +19,10 @@ from . import harness, models, order, schemes
 def _parse_number(text: str) -> float:
     """Accept plain floats and fractions like 1/40."""
     if "/" in text:
-        return float(Fraction(text))
+        try:
+            return float(Fraction(text))
+        except ZeroDivisionError:
+            raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
     return float(text)
 
 
@@ -40,8 +43,13 @@ def _param(text: str) -> tuple:
 
 
 def _load_config(path: str) -> harness.RunConfig:
-    with open(path) as fh:
-        doc = json.load(fh)
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"config {path}: {exc.strerror}") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"config {path}: {exc}") from None
     try:
         return harness.RunConfig(**doc)
     except TypeError as exc:  # not an object, or a key RunConfig lacks
@@ -88,6 +96,7 @@ def _cmd_preset(args) -> int:
 
 def _cmd_converge(args) -> int:
     cfg = _run_config_from_args(args, harness.RunConfig())
+    harness.checked_scheme(cfg)  # refuse before the reference run, not after
     if args.reference == "exact":
         reference = "exact"
     else:

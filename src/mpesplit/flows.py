@@ -65,9 +65,20 @@ def flow_double_well(v, tau: float, bound: float | None = None):
 
 
 def flow_phase(v, omega, rho: float, tau: float):
-    """Exact flow of u' = i*(omega + rho*|u|^2)*u; |u| is pointwise invariant."""
+    """Exact flow of u' = i*(omega + rho*|u|^2)*u; |u| is pointwise invariant.
+
+    The angle theta = tau*(omega + rho*|u|^2) is real, so the rotation
+    exp(i*theta) is written as cos(theta) and sin(theta) into the real and
+    imaginary parts of one complex array, which then multiplies u in place;
+    no complex exponential is evaluated.
+    """
     x = np.asarray(v)
-    return np.exp(1j * tau * (omega + rho * (x.real**2 + x.imag**2))) * x
+    theta = tau * (omega + rho * (x.real**2 + x.imag**2))
+    rot = np.empty(np.shape(theta), dtype=complex)
+    np.cos(theta, out=rot.real)
+    np.sin(theta, out=rot.imag)
+    rot *= x
+    return rot
 
 
 def ssprk104(f, v, tau: float, cfg: RkConfig | None = None):

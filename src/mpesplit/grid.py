@@ -3,6 +3,13 @@
 The linear half of every model here is u_t = nu * Laplacian(u) on a periodic
 box, solved exactly in Fourier space: each coefficient is multiplied by
 exp(-tau * nu * lambda) where lambda = (2*pi*p/L)**2 + (2*pi*q/L)**2.
+
+The symbol is a sum over axes, so the multiplier is the outer product of
+one 1-D exponential per axis. `linear_propagate` never builds it on the
+grid: it scales the fresh spectrum in place by each axis's factor, so a
+step size that never repeats costs exponentials of 1-D arrays and not of
+the whole grid, and then inverts that spectrum, its own temporary, with
+`overwrite_x=True`. The state it is given is never written.
 """
 
 from __future__ import annotations
@@ -30,6 +37,11 @@ class SpectralGrid:
     `grad_sq_integral` zeroes each derivative's Nyquist mode, as `gradient`
     does, and weights the interior columns 1..N/2-1 by 2 because each stands
     for itself and its conjugate partner; columns 0 and N/2 count once.
+
+    The Laplacian symbol is kx^2 + ky^2, so the propagator keeps only the
+    1-D squared wavenumbers: `_k2` along a full axis and `_k2_half` along
+    the half axis of `rfftn`. `laplacian_symbols` is the full symbol on the
+    grid, for the diagnostics that need it.
     """
 
     def __init__(self, dim: int, n_per_axis: int, length: float):
@@ -52,14 +64,14 @@ class SpectralGrid:
         khd[-1] = 0.0
         weight = np.full(kh.shape, 2.0)
         weight[0] = weight[-1] = 1.0
+        self._k2 = k1**2
+        self._k2_half = kh**2
         if dim == 1:
-            self._lam = k1**2
-            self._lam_half = kh**2
+            self._lam = self._k2
             self._deriv = (1j * kd,)
             self._grad_sq_half = weight * khd**2
         else:
-            self._lam = (k1**2)[:, None] + (k1**2)[None, :]
-            self._lam_half = (k1**2)[:, None] + (kh**2)[None, :]
+            self._lam = self._k2[:, None] + self._k2[None, :]
             self._deriv = (1j * kd[:, None], 1j * kd[None, :])
             self._grad_sq_half = weight[None, :] * ((kd**2)[:, None] + (khd**2)[None, :])
 
@@ -161,14 +173,25 @@ def laplacian_symbol(grid: SpectralGrid, index) -> float:
     return float(sum((2.0 * math.pi * p / grid.length) ** 2 for p in index))
 
 
+def _scale_by_axes(spec: np.ndarray, c: complex, k2_first: np.ndarray,
+                   k2_last: np.ndarray) -> None:
+    """spec *= exp(c * lambda) in place, one 1-D factor per axis."""
+    if spec.ndim == 2:
+        spec *= np.exp(c * k2_first)[:, None]
+    spec *= np.exp(c * k2_last)
+
+
 def linear_propagate(values: np.ndarray, nu: complex, tau: float, grid: SpectralGrid,
                      allow_backward: bool = False) -> np.ndarray:
     """Apply exp(tau * nu * Laplacian) via the Fourier multiplier exp(-tau*nu*lambda).
 
-    A real state with real nu goes through `rfftn`/`irfftn` and the grid's
-    half-spectrum symbol, Nyquist column included; the symbol is even in k,
+    A real state with real nu goes through `rfftn`/`irfftn` and the half
+    axis's wavenumbers, Nyquist column included; the symbol is even in k,
     so this equals the full complex transform's real part up to round-off.
-    Complex states, or complex nu, use the full complex transform.
+    Complex states, or complex nu, use the full complex transform. Either
+    way the multiplier is applied axis by axis to the spectrum in place (see
+    the module docstring); it equals the full-grid multiplier up to the
+    rounding of tau*lambda.
 
     For real nu > 0 a negative tau grows every mode without bound, so it is
     rejected unless allow_backward is set (the negative-coefficient scheme
@@ -180,10 +203,12 @@ def linear_propagate(values: np.ndarray, nu: complex, tau: float, grid: Spectral
     if np.shape(values) != grid.shape:
         raise ValueError(f"state shape {np.shape(values)} does not match grid {grid.shape}")
     if nu.imag == 0 and np.isrealobj(values):
-        mult = np.exp(-tau * nu.real * grid._lam_half)
-        return _fft.irfftn(mult * _fft.rfftn(values), s=values.shape)
-    mult = np.exp(-tau * nu * grid._lam)
-    return _fft.ifftn(mult * _fft.fftn(values))
+        spec = _fft.rfftn(values)
+        _scale_by_axes(spec, -tau * nu.real, grid._k2, grid._k2_half)
+        return _fft.irfftn(spec, s=values.shape, overwrite_x=True)
+    spec = _fft.fftn(values)
+    _scale_by_axes(spec, -tau * nu, grid._k2, grid._k2)
+    return _fft.ifftn(spec, overwrite_x=True)
 
 
 # ---------------------------------------------------------------------------

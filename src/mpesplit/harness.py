@@ -101,14 +101,20 @@ def _diag_row(model, step, t, tau, state, grid):
     return (step, t, tau, energy(model, state, grid), mass(model, state, grid), max_norm(state))
 
 
-def _setup(config: RunConfig):
-    """(model, grid, scheme, flows, u0) of a run or a study; the one place a
-    scheme with negative coefficients is refused without allow_backward."""
-    model = make_model(config.model, **config.overrides)
-    grid = default_grid(model, config.nx)
+def checked_scheme(config: RunConfig):
+    """The catalog scheme config names; the one place a scheme with negative
+    coefficients is refused without allow_backward."""
     scheme = catalog(config.scheme)
     if scheme.scheme_class == "spe_negative" and not config.allow_backward:
         raise ValueError(f"scheme {scheme.name} needs allow_backward")
+    return scheme
+
+
+def _setup(config: RunConfig):
+    """(model, grid, scheme, flows, u0) of a run or a study."""
+    model = make_model(config.model, **config.overrides)
+    grid = default_grid(model, config.nx)
+    scheme = checked_scheme(config)
     flows = flow_pair(model, grid, config.rk_substeps, config.allow_backward)
     return model, grid, scheme, flows, initial_condition(model, grid)
 

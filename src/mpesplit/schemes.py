@@ -179,7 +179,10 @@ def catalog_names():
 def apply(scheme: SplitScheme, flows: FlowPair, tau: float, state):
     """One step of the scheme. Substeps with a zero coefficient are skipped;
     multi-term results are combined with compensated summation because the
-    weights have mixed signs (up to 390625/72576 at order 10)."""
+    weights have mixed signs (up to 390625/72576 at order 10).
+
+    The combine reuses four buffers per step, with the operations in the
+    order y = w*r - comp, t = acc + y, comp = (t - acc) - y, acc = t."""
     results = []
     for ti, term in enumerate(scheme.terms):
         work = state
@@ -196,13 +199,18 @@ def apply(scheme: SplitScheme, flows: FlowPair, tau: float, state):
         if len(scheme.terms) == 1 and term.weight == 1:
             return work
         results.append((float(term.weight), work))
-    acc = np.zeros_like(np.asarray(results[0][1], dtype=np.result_type(results[0][1], float)))
+    first = results[0][1]
+    acc = np.zeros(np.shape(first), dtype=np.result_type(first, float))
     comp = np.zeros_like(acc)
+    y = np.empty_like(acc)
+    t = np.empty_like(acc)
     for w, r in results:
-        y = w * np.asarray(r) - comp
-        t = acc + y
-        comp = (t - acc) - y
-        acc = t
+        np.multiply(w, r, out=y)
+        y -= comp
+        np.add(acc, y, out=t)
+        np.subtract(t, acc, out=comp)
+        comp -= y
+        acc, t = t, acc
     return acc
 
 

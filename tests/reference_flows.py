@@ -52,3 +52,9 @@ def reaction_rhs(s, k1p, k1m):
     u, v = s[0], s[1]
     f = k1p * u * v * v - k1m * v * v * v
     return np.stack((-f, f))
+
+
+def phase_rotation(v, omega, rho, tau):
+    """The NLS phase flow as one complex exponential: exp(i tau (omega + rho |v|^2)) v."""
+    x = np.asarray(v)
+    return np.exp(1j * tau * (omega + rho * (x.real**2 + x.imag**2))) * x

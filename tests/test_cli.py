@@ -49,6 +49,13 @@ class TestNumberParsing:
         assert _parse_number("1/40") == 0.025
         assert _parse_number("1/3") == pytest.approx(1 / 3)
 
+    @pytest.mark.parametrize("flag", [("--tau", "1/0"), ("--param", "lam=1/0")])
+    def test_zero_denominator_exits_2(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--model", "toy", *flag])
+        assert exc.value.code == 2
+        assert "zero denominator in '1/0'" in capsys.readouterr().err
+
 
 class TestRun:
     def test_stdout_csv(self, capsys):
@@ -146,6 +153,18 @@ class TestRun:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "bogus" in err
+
+    @pytest.mark.parametrize("text,reason", [
+        (None, "No such file or directory"),
+        ("{bad", "Expecting property name"),
+    ])
+    def test_unreadable_config_file_exits_2(self, capsys, tmp_path, text, reason):
+        path = tmp_path / "cfg.json"
+        if text is not None:
+            path.write_text(text)
+        code, _, err = run_cli(capsys, "run", "--config", str(path))
+        assert code == 2
+        assert err.startswith(f"error: config {path}: {reason}") and err.count("\n") == 1
 
     def test_adaptive_flags(self, capsys):
         code, out, _ = run_cli(capsys, "run", "--model", "cac", "--scheme", "s4_3",
@@ -273,6 +292,16 @@ class TestConverge:
                                "--reference", "exact", "--tfinal", "0.4")
         assert code == 2
         assert "allow_backward" in err
+
+    def test_backward_scheme_refused_before_self_reference(self, capsys, monkeypatch):
+        def no_run(*_args, **_kwargs):
+            raise AssertionError("reference integrated before the scheme was checked")
+        monkeypatch.setattr("mpesplit.harness.run", no_run)
+        code, _, err = run_cli(capsys, "converge", "--model", "nls_linear",
+                               "--scheme", "s4_neg", "--nx", "16", "--taus", "0.2,0.1",
+                               "--tfinal", "1", "--reference", "self")
+        assert code == 2
+        assert err == "error: scheme s4_neg needs allow_backward\n"
 
     def test_allow_backward_reaches_self_reference(self, capsys):
         code, out, _ = run_cli(capsys, "converge", "--model", "ac", "--scheme", "strang_a",

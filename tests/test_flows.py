@@ -16,7 +16,8 @@ from mpesplit.flows import (
     truncate_double_well,
     truncate_fkpp,
 )
-from reference_flows import double_well_branches, fkpp_branches, ssprk104_loop
+from mpesplit.models import default_grid, initial_condition, make_model, potential
+from reference_flows import double_well_branches, fkpp_branches, phase_rotation, ssprk104_loop
 
 # 50-digit evaluation of arcsinh(e * sinh 1), the closed tanh flow at
 # v = 1, lambda = 1, tau = 1
@@ -153,6 +154,18 @@ class TestFlowPhase:
         one = flow_phase(v, omega, -1.0, 0.9)
         two = flow_phase(flow_phase(v, omega, -1.0, 0.4), omega, -1.0, 0.5)
         assert np.max(np.abs(one - two)) < 1e-11
+
+    @pytest.mark.parametrize("model_id", ["nls_linear", "nls_nonlinear"])
+    @pytest.mark.parametrize("tau", [0.37, -0.37, 1e-3, -25.0])
+    def test_bit_identical_to_complex_exponential(self, model_id, tau):
+        m = make_model(model_id)
+        g = default_grid(m, 64)
+        omega, rho = potential(m, g), m.params["rho"]
+        rng = np.random.default_rng(12)
+        noise = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+        for v in (initial_condition(m, g), noise):
+            out = flow_phase(v, omega, rho, tau)
+            assert out.tobytes() == phase_rotation(v, omega, rho, tau).tobytes()
 
 
 class TestSsprk104:

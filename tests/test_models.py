@@ -26,6 +26,7 @@ from reference_flows import (
     reaction_rhs,
     ssprk104_loop,
 )
+from reference_spectral import nls_energy_on_grid
 
 MPE_SCHEMES = ["sws2", "s3_1", "s3_2", "s4_1", "s4_2", "s4_3", "s4_4",
                "s6", "s8", "s10"]
@@ -248,6 +249,20 @@ class TestEnergy:
         g = grid_for(m, 128)
         u = initial_condition(m, g)
         assert abs(energy(m, u, g) - 55.0 * math.pi ** 2 / 32.0) < 1e-10
+
+    @pytest.mark.parametrize("model_id", ["nls_linear", "nls_nonlinear"])
+    def test_nls_matches_grid_formula(self, model_id):
+        # the gradient term by Parseval against -eps conj(u) Laplacian(u)
+        # integrated on the grid
+        m = make_model(model_id)
+        eps, rho = m.params["eps"], m.params["rho"]
+        rng = np.random.default_rng(13)
+        for n in (64, 256):
+            g = grid_for(m, n)
+            noise = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+            for u in (initial_condition(m, g), noise):
+                ref = nls_energy_on_grid(eps, rho, potential(m, g), u, g)
+                assert energy(m, u, g) == pytest.approx(ref.real, rel=1e-12)
 
     def test_rd_log_entropy(self):
         m = make_model("rd_system")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mpesplit.models import default_grid, flow_pair, initial_condition, make_model
 from mpesplit.schemes import (
     FlowPair,
     SplitScheme,
@@ -19,6 +20,7 @@ from mpesplit.schemes import (
     scheme_stats,
     scheme_to_json,
 )
+from reference_schemes import apply_allocating
 from wordseries import certified_order
 
 F = Fraction
@@ -283,6 +285,22 @@ class TestApply:
         state = rng.standard_normal(8)
         out = apply(catalog("s4_2"), linear_flows(2.0, -1.0), 0.0, state)
         assert np.max(np.abs(out - state)) < 1e-15
+
+
+class TestCompensatedCombine:
+    """apply's buffered combine against a fresh array per operation."""
+
+    @pytest.mark.parametrize("model_id", ["toy", "nls_nonlinear", "rd_system"])
+    @pytest.mark.parametrize("name", [n for n in sorted(CATALOG_TABLE)
+                                      if len(catalog(n).terms) > 1])
+    def test_bit_identical_to_allocating_combine(self, model_id, name):
+        m = make_model(model_id)
+        g = default_grid(m, 16)
+        flows = flow_pair(m, g)
+        state = initial_condition(m, g)
+        out = apply(catalog(name), flows, 0.05, state)
+        ref = apply_allocating(catalog(name), flows, 0.05, state)
+        assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
 
 
 class TestJsonRoundtrip:
