@@ -53,6 +53,11 @@ def flow_double_well(v, tau: float, bound: float | None = None):
     non-finite output is left to the caller to detect (a diverged run is a
     result, not a crash). If bound is given, inputs beyond it are rejected,
     since there the closed form no longer matches the truncated nonlinearity.
+
+    Two arrays are allocated, the denominator and the result. The operations
+    run in the order of et * v / sqrt(1 + (et * et - 1) * v * v) with
+    et = exp(tau), so the result is bit-identical to evaluating that
+    expression with a temporary per operation.
     """
     x = np.asarray(v, dtype=float)
     if bound is not None:
@@ -60,8 +65,15 @@ def flow_double_well(v, tau: float, bound: float | None = None):
         if mx > bound:
             raise ValueError(f"flow_double_well: max |v| = {mx} exceeds bound {bound}")
     et = math.exp(tau)
+    den, out = np.empty_like(x), np.empty_like(x)
     with np.errstate(invalid="ignore", over="ignore"):
-        return et * x / np.sqrt(1.0 + (et * et - 1.0) * x * x)
+        np.multiply(et * et - 1.0, x, out=den)
+        den *= x
+        den += 1.0
+        np.sqrt(den, out=den)
+        np.multiply(et, x, out=out)
+        out /= den
+    return out
 
 
 def flow_phase(v, omega, rho: float, tau: float):

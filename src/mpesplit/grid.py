@@ -9,7 +9,9 @@ one 1-D exponential per axis. `linear_propagate` never builds it on the
 grid: it scales the fresh spectrum in place by each axis's factor, so a
 step size that never repeats costs exponentials of 1-D arrays and not of
 the whole grid, and then inverts that spectrum, its own temporary, with
-`overwrite_x=True`. The state it is given is never written.
+`overwrite_x=True`. The state it is given is never written. A real
+state's inverse runs one axis at a time (`_inverse_real`), so it holds no
+second copy of the spectrum and is still bit-identical to `irfftn`.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import fft as _fft
@@ -41,7 +44,7 @@ class SpectralGrid:
     The Laplacian symbol is kx^2 + ky^2, so the propagator keeps only the
     1-D squared wavenumbers: `_k2` along a full axis and `_k2_half` along
     the half axis of `rfftn`. `laplacian_symbols` is the full symbol on the
-    grid, for the diagnostics that need it.
+    grid, for the diagnostics that need it; it is built on first use.
     """
 
     def __init__(self, dim: int, n_per_axis: int, length: float):
@@ -67,11 +70,9 @@ class SpectralGrid:
         self._k2 = k1**2
         self._k2_half = kh**2
         if dim == 1:
-            self._lam = self._k2
             self._deriv = (1j * kd,)
             self._grad_sq_half = weight * khd**2
         else:
-            self._lam = self._k2[:, None] + self._k2[None, :]
             self._deriv = (1j * kd[:, None], 1j * kd[None, :])
             self._grad_sq_half = weight[None, :] * ((kd**2)[:, None] + (khd**2)[None, :])
 
@@ -79,9 +80,11 @@ class SpectralGrid:
     def shape(self):
         return (self.n,) * self.dim
 
-    @property
+    @cached_property
     def laplacian_symbols(self):
-        return self._lam
+        if self.dim == 1:
+            return self._k2
+        return self._k2[:, None] + self._k2[None, :]
 
     def axis_points(self) -> np.ndarray:
         """Nodes of one axis, starting at 0."""
@@ -181,6 +184,19 @@ def _scale_by_axes(spec: np.ndarray, c: complex, k2_first: np.ndarray,
     spec *= np.exp(c * k2_last)
 
 
+def _inverse_real(spec: np.ndarray, n_last: int) -> np.ndarray:
+    """`irfftn(spec, s=...)` of a half spectrum, bit-identical to it, without
+    the full copy of the spectrum `irfftn` makes internally on a 2-D grid:
+    the unscaled inverse along the first axis overwrites spec, the unscaled
+    real inverse along the last axis makes the output, and that is then
+    scaled by 1/N^d rounded from long double, as pocketfft rounds it."""
+    if spec.ndim == 2:
+        spec = _fft.ifftn(spec, axes=(0,), norm="forward", overwrite_x=True)
+    out = _fft.irfftn(spec, s=(n_last,), axes=(-1,), norm="forward")
+    out *= float(np.longdouble(1) / np.longdouble(out.size))
+    return out
+
+
 def linear_propagate(values: np.ndarray, nu: complex, tau: float, grid: SpectralGrid,
                      allow_backward: bool = False) -> np.ndarray:
     """Apply exp(tau * nu * Laplacian) via the Fourier multiplier exp(-tau*nu*lambda).
@@ -205,7 +221,7 @@ def linear_propagate(values: np.ndarray, nu: complex, tau: float, grid: Spectral
     if nu.imag == 0 and np.isrealobj(values):
         spec = _fft.rfftn(values)
         _scale_by_axes(spec, -tau * nu.real, grid._k2, grid._k2_half)
-        return _fft.irfftn(spec, s=values.shape, overwrite_x=True)
+        return _inverse_real(spec, values.shape[-1])
     spec = _fft.fftn(values)
     _scale_by_axes(spec, -tau * nu, grid._k2, grid._k2)
     return _fft.ifftn(spec, overwrite_x=True)

@@ -1,10 +1,12 @@
 """Time-stepping driver, adaptive step controller, convergence studies, and
 the named experiment presets.
 
-A run is a plain sequential loop of scheme steps with diagnostics sampled
-along the way. Divergence (NaN or Inf anywhere in the state) stops the run
-and marks the record; for the negative-coefficient scheme that outcome is
-the experiment, so it is recorded rather than raised.
+A run is a loop of scheme steps with diagnostics sampled along the way.
+The steps follow one another; within a step, `schemes.apply` runs the terms
+of a multi-term scheme on two threads. Divergence (NaN or Inf anywhere in
+the state) stops the run and marks the record; for the negative-coefficient
+scheme that outcome is the experiment, so it is recorded rather than
+raised.
 """
 
 from __future__ import annotations

@@ -112,8 +112,9 @@ def _ac_b_flow(model, grid, cfg):
 
     def b_flow(tau, u):
         # closed form while the solution sits inside the truncation window,
-        # RK on the truncated nonlinearity once it leaves it
-        if np.max(np.abs(u)) <= M:
+        # RK on the truncated nonlinearity once it leaves it; a NaN fails
+        # both comparisons and so takes the RK branch
+        if u.max() <= M and u.min() >= -M:
             return flow_double_well(u, tau)
         out, work = _workspace(u), _workspace(u)
         return ssprk104(lambda x: truncate_double_well(x, M, out, work), u, tau, cfg)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import expm as _expm_pade
 
 from .schemes import FlowPair, SplitScheme, Term, apply
 
@@ -140,6 +139,14 @@ def make_matrix_oracle(dimension: int = 6, seed: int = 42, norm_cap: float = 1.0
     v = rng.uniform(-1.0, 1.0, dimension)
     v /= np.linalg.norm(v)
     return MatrixOraclePair(dimension, A, B, seed, norm_cap, v)
+
+
+def _expm_pade(M: np.ndarray) -> np.ndarray:
+    """scipy's Pade matrix exponential; scipy.linalg is imported on the first
+    call, so a process that never certifies an order does not load it."""
+    from scipy.linalg import expm
+
+    return expm(M)
 
 
 def expm_series(M: np.ndarray) -> np.ndarray:

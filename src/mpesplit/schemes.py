@@ -10,14 +10,28 @@ so the A substep of a stage runs before its B substep, and a trailing
 b_m = 0 encodes a final pure-A substep. The scheme output is the
 weight-c_i combination of the per-term results. Coefficients stay exact
 rationals until the moment they multiply tau.
+
+The terms all start from the same input state and are independent of one
+another, so `apply` runs them on two threads. Each scheme compiles once
+into a `Plan`: every term's non-zero substeps with their float
+coefficients, the float weights, and a fixed split of the terms into two
+bins of about equal substep count. Bin 0 runs on the calling thread and
+bin 1 on one persistent helper thread. The results are then combined in
+term order with compensated summation, so a step is bit-identical to
+running the terms one after another.
 """
 
 from __future__ import annotations
 
+import contextvars
 import json
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -31,12 +45,51 @@ class Term:
 
 
 @dataclass(frozen=True)
+class Plan:
+    """A scheme ready to run. `terms[i]` holds term i's non-zero substeps as
+    (stage, flow, coefficient), flow 0 for A and 1 for B; `single` marks one
+    term of weight 1, whose result is the step itself; `bins` are two tuples
+    of term indices, each in term order."""
+    terms: tuple
+    weights: tuple
+    single: bool
+    bins: tuple
+
+
+def _split(costs):
+    """Term indices in two bins: longest term first, each into the lighter
+    bin (bin 0 on a tie). Fixed per scheme, so no run depends on timing."""
+    bins, loads = ([], []), [0, 0]
+    for ti in sorted(range(len(costs)), key=lambda i: -costs[i]):
+        k = 0 if loads[0] <= loads[1] else 1
+        bins[k].append(ti)
+        loads[k] += costs[ti]
+    return tuple(tuple(sorted(b)) for b in bins)
+
+
+@dataclass(frozen=True)
 class SplitScheme:
     name: str
     claimed_order: int
     terms: tuple  # tuple of Term
     scheme_class: str  # "mpe_positive" | "spe" | "spe_negative"
     exact: bool = True  # False when coefficients are decimal truncations
+
+    @cached_property
+    def plan(self) -> Plan:
+        """Built on first use and kept; a term's cost is its substep count."""
+        terms = tuple(
+            tuple((si, f, float(c))
+                  for si, stage in enumerate(term.stages)
+                  for f, c in enumerate(stage) if c != 0)
+            for term in self.terms
+        )
+        return Plan(
+            terms,
+            tuple(float(t.weight) for t in self.terms),
+            len(self.terms) == 1 and self.terms[0].weight == 1,
+            _split([len(t) for t in terms]),
+        )
 
 
 @dataclass(frozen=True)
@@ -176,42 +229,110 @@ def catalog_names():
     return list(_CATALOG)
 
 
+_helper_lock = threading.Lock()
+_helper_pool = None
+
+
+def _helper() -> ThreadPoolExecutor:
+    """The one persistent helper thread, started on first use.
+
+    Its thread is started by a no-op before any step is handed to it, so a
+    step always finds it idle: otherwise the first step's calling thread
+    would wait in `Thread.start` while the new thread ran bin 1, and only
+    then begin bin 0."""
+    global _helper_pool
+    with _helper_lock:
+        if _helper_pool is None:
+            pool = ThreadPoolExecutor(1, thread_name_prefix="mpesplit-terms")
+            pool.submit(int).result()
+            _helper_pool = pool
+        return _helper_pool
+
+
+def _forget_helper():
+    """A forked child has no helper thread: let it start its own."""
+    global _helper_lock, _helper_pool
+    _helper_lock, _helper_pool = threading.Lock(), None
+
+
+os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _run_bin(plan, k, flows, tau, state, results):
+    """Run the terms of bin k in term order, storing each result at its
+    term index. Returns (term, stage, exception) for the first term that
+    raises, which ends the bin, or None."""
+    flow = (flows.a_flow, flows.b_flow)
+    for ti in plan.bins[k]:
+        work = state
+        for si, f, c in plan.terms[ti]:
+            try:
+                work = flow[f](c * tau, work)
+            except Exception as exc:
+                return ti, si, exc
+        results[ti] = work
+    return None
+
+
+def _combine(weights, results):
+    """sum_i weights[i] * results[i] in term order, with compensated
+    summation in three buffers: y = w*r - comp, t = acc + y,
+    comp = (t - acc) - y, acc = t, with t written over the old comp and the
+    new comp over the old acc."""
+    first = results[0]
+    acc = np.zeros(np.shape(first), dtype=np.result_type(first, float))
+    comp = np.zeros_like(acc)
+    y = np.empty_like(acc)
+    for w, r in zip(weights, results):
+        np.multiply(w, r, out=y)
+        y -= comp
+        np.add(acc, y, out=comp)
+        np.subtract(comp, acc, out=acc)
+        acc -= y
+        acc, comp = comp, acc
+    return acc
+
+
 def apply(scheme: SplitScheme, flows: FlowPair, tau: float, state):
     """One step of the scheme. Substeps with a zero coefficient are skipped;
     multi-term results are combined with compensated summation because the
     weights have mixed signs (up to 390625/72576 at order 10).
 
-    The combine reuses four buffers per step, with the operations in the
-    order y = w*r - comp, t = acc + y, comp = (t - acc) - y, acc = t."""
-    results = []
-    for ti, term in enumerate(scheme.terms):
-        work = state
-        for si, (a, b) in enumerate(term.stages):
-            try:
-                if a != 0:
-                    work = flows.a_flow(float(a) * tau, work)
-                if b != 0:
-                    work = flows.b_flow(float(b) * tau, work)
-            except Exception as exc:
-                raise RuntimeError(
-                    f"scheme {scheme.name} term {ti} stage {si}: {exc}"
-                ) from exc
-        if len(scheme.terms) == 1 and term.weight == 1:
-            return work
-        results.append((float(term.weight), work))
-    first = results[0][1]
-    acc = np.zeros(np.shape(first), dtype=np.result_type(first, float))
-    comp = np.zeros_like(acc)
-    y = np.empty_like(acc)
-    t = np.empty_like(acc)
-    for w, r in results:
-        np.multiply(w, r, out=y)
-        y -= comp
-        np.add(acc, y, out=t)
-        np.subtract(t, acc, out=comp)
-        comp -= y
-        acc, t = t, acc
-    return acc
+    The terms of `scheme.plan.bins[0]` run on the calling thread while those
+    of `bins[1]` run on the helper thread, so the flows must allow two calls
+    at once, and must not themselves call `apply` on a multi-term scheme.
+    Work on the helper runs in a copy of the caller's context, so settings
+    such as `np.errstate` apply there too. A single-term scheme has an empty
+    bin 1 and never uses the helper. Each substep is
+    `flow(float(a) * tau, work)` as in a serial loop, and the results are
+    combined in term order, so the step is bit-identical to running the
+    terms one after another. If terms raise, the one with the lowest index
+    surfaces as a `RuntimeError` naming the term and stage, with the
+    original exception as its cause.
+
+    After a two-bin step the combine also runs on the helper: each thread
+    allocates from its own malloc arena, which keeps memory it has freed,
+    so the combine's buffers then reuse what bin 1's substeps released
+    instead of growing the calling thread's arena."""
+    plan = scheme.plan
+    results = [None] * len(plan.terms)
+    pool = _helper() if plan.bins[1] else None
+    if pool is not None:
+        bin1 = pool.submit(contextvars.copy_context().run,
+                           _run_bin, plan, 1, flows, tau, state, results)
+    failures = [_run_bin(plan, 0, flows, tau, state, results)]
+    if pool is not None:
+        failures.append(bin1.result())
+    failures = [f for f in failures if f is not None]
+    if failures:
+        ti, si, exc = min(failures, key=lambda f: f[0])
+        raise RuntimeError(f"scheme {scheme.name} term {ti} stage {si}: {exc}") from exc
+    if plan.single:
+        return results[0]
+    if pool is not None:
+        return pool.submit(contextvars.copy_context().run,
+                           _combine, plan.weights, results).result()
+    return _combine(plan.weights, results)
 
 
 def scheme_stats(scheme: SplitScheme) -> dict:

@@ -6,6 +6,8 @@ printed formulas, the SSP-RK(10,4) two-register loop with a fresh array for
 every stage, and the model right-hand sides written as plain expressions.
 """
 
+import math
+
 import numpy as np
 
 
@@ -58,3 +60,18 @@ def phase_rotation(v, omega, rho, tau):
     """The NLS phase flow as one complex exponential: exp(i tau (omega + rho |v|^2)) v."""
     x = np.asarray(v)
     return np.exp(1j * tau * (omega + rho * (x.real**2 + x.imag**2))) * x
+
+
+def double_well_expression(v, tau):
+    """The closed double-well flow as one expression, a temporary per
+    operation: exp(tau) v / sqrt(1 + (exp(2 tau) - 1) v^2)."""
+    x = np.asarray(v, dtype=float)
+    et = math.exp(tau)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return et * x / np.sqrt(1.0 + (et * et - 1.0) * x * x)
+
+
+def inside_window(u, M):
+    """The ac B flow's test for taking the closed form: max |u| <= M, which
+    is False when u holds a NaN."""
+    return bool(np.max(np.abs(u)) <= M)

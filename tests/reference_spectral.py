@@ -2,13 +2,15 @@
 
 The linear propagator with its multiplier exp(-tau*nu*lambda) built on the
 whole grid from the wavenumbers and applied through the full complex
-transform, and the NLS energy with its gradient term integrated as
--eps * conj(u) * Laplacian(u) on the grid.
+transform, the NLS energy with its gradient term integrated as
+-eps * conj(u) * Laplacian(u) on the grid, and the inverse real transform
+of a half spectrum in one `irfftn` call.
 """
 
 import math
 
 import numpy as np
+from scipy import fft as _fft
 
 
 def laplacian_on_grid(grid):
@@ -36,3 +38,8 @@ def nls_energy_on_grid(eps, rho, omega, state, grid):
     mod2 = state.real**2 + state.imag**2
     dens = -eps * np.conj(state) * lap - omega * mod2 - 0.5 * rho * mod2**2
     return grid.h**grid.dim * dens.sum()
+
+
+def inverse_real(spec, n_last):
+    """irfftn of a half spectrum whose last axis has n_last // 2 + 1 columns."""
+    return _fft.irfftn(spec, s=spec.shape[:-1] + (n_last,))

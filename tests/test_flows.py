@@ -16,8 +16,20 @@ from mpesplit.flows import (
     truncate_double_well,
     truncate_fkpp,
 )
-from mpesplit.models import default_grid, initial_condition, make_model, potential
-from reference_flows import double_well_branches, fkpp_branches, phase_rotation, ssprk104_loop
+from mpesplit import models
+from mpesplit.models import default_grid, flow_pair, initial_condition, make_model, potential
+from reference_flows import (
+    double_well_branches,
+    double_well_expression,
+    fkpp_branches,
+    inside_window,
+    phase_rotation,
+    ssprk104_loop,
+)
+
+# finite values of both signs and sizes, signed zeros, infinities and a NaN
+SPECIAL_VALUES = np.array([0.5, -0.75, 1.0, -1.0, 3.0, -6.0, 1e-300, 1e155, -1e200,
+                           0.0, -0.0, np.inf, -np.inf, np.nan])
 
 # 50-digit evaluation of arcsinh(e * sinh 1), the closed tanh flow at
 # v = 1, lambda = 1, tau = 1
@@ -119,6 +131,43 @@ class TestFlowDoubleWell:
             diff = flow_double_well(w, tau) - w
             bound = (math.exp(kappa * tau) - 1) * np.max(np.abs(w))
             assert np.max(np.abs(diff)) <= bound
+
+
+class TestDoubleWellBuffers:
+    """The two-buffer closed double-well flow and the ac B flow's window test
+    against their one-expression forms, byte for byte."""
+
+    @pytest.mark.parametrize("tau", [0.3, -0.3, 1e-3, -1e-3, 0.0, 5.0, -5.0])
+    def test_bit_identical_to_expression(self, tau):
+        rng = np.random.default_rng(21)
+        v = np.concatenate([SPECIAL_VALUES, rng.uniform(-2.0, 2.0, 50)]).reshape(8, 8)
+        with np.errstate(divide="ignore"):
+            out = flow_double_well(v, tau)
+            ref = double_well_expression(v, tau)
+        assert out.dtype == ref.dtype and out.shape == v.shape
+        assert out.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("special", list(SPECIAL_VALUES) + [6.0, -6.0, 6.5, -6.5])
+    @pytest.mark.parametrize("tau", [0.01, -0.01])
+    def test_ac_window_as_max_abs(self, monkeypatch, special, tau):
+        m = make_model("ac")
+        g = default_grid(m, 8)
+        u = np.full(g.shape, 0.25)
+        u[3, 5] = special
+        rk_calls = []
+
+        def fake_rk(f, v, t, cfg=None):
+            rk_calls.append(t)
+            return np.zeros_like(v)
+
+        monkeypatch.setattr(models, "ssprk104", fake_rk)
+        with np.errstate(divide="ignore"):
+            out = flow_pair(m, g, allow_backward=True).b_flow(tau, u)
+            if inside_window(u, m.M):
+                assert rk_calls == []
+                assert out.tobytes() == double_well_expression(u, tau).tobytes()
+            else:
+                assert rk_calls == [tau]
 
 
 class TestFlowPhase:

@@ -4,8 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from mpesplit import harness
 from mpesplit.grid import (
     Field,
+    SpectralGrid,
+    _inverse_real,
     field_to_csv,
     laplacian_symbol,
     linear_propagate,
@@ -13,7 +16,7 @@ from mpesplit.grid import (
     make_grid,
     save_field,
 )
-from reference_spectral import propagate_full
+from reference_spectral import inverse_real, propagate_full
 
 # grid sizes that appear in the model registry
 CATALOG_SIZES = [1024, 400, 256, 512]
@@ -249,6 +252,45 @@ class TestSeparableMultiplier:
             assert np.array_equal(u, before)  # the caller's state is never written
             assert out.shape == u.shape and out.dtype == ref.dtype
             assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class TestInverseReal:
+    """The propagator's axis-by-axis inverse real transform against one
+    `irfftn` call, byte for byte."""
+
+    @pytest.mark.parametrize("dim,n", [(1, 2), (1, 400), (2, 2), (2, 6), (2, 48),
+                                       (2, 250), (2, 400), (2, 1024)])
+    def test_bit_identical_to_irfftn(self, dim, n):
+        rng = np.random.default_rng(n)
+        shape = (n,) * (dim - 1) + (n // 2 + 1,)
+        spec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        spec.flat[1] = np.nan
+        spec.flat[-1] = np.inf
+        ref = inverse_real(spec, n)
+        out = _inverse_real(spec.copy(), n)
+        assert out.shape == ref.shape and out.dtype == ref.dtype
+        assert out.tobytes() == ref.tobytes()
+
+
+class TestLaplacianSymbols:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_built_on_first_use(self, dim):
+        g = make_grid(dim, 16, 2 * math.pi)
+        assert "laplacian_symbols" not in vars(g)
+        lam = g.laplacian_symbols
+        expected = g._k2 if dim == 1 else g._k2[:, None] + g._k2[None, :]
+        assert lam.shape == g.shape and np.array_equal(lam, expected)
+        assert g.laplacian_symbols is lam
+
+    def test_ac_run_never_builds_it(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(SpectralGrid, "laplacian_symbols",
+                            property(lambda g: built.append(g) or g._k2[:, None] + g._k2[None, :]))
+        harness.run(harness.RunConfig(model="ac", scheme="s4_4", nx=16, tau=0.1, t_final=0.2))
+        assert built == []
+        # the NLS energy does read it, so the probe sees a use when there is one
+        harness.run(harness.RunConfig(model="nls_linear", nx=16, tau=0.1, t_final=0.1))
+        assert built
 
 
 class TestFieldType:

@@ -1,5 +1,8 @@
 import math
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -232,6 +235,20 @@ class TestMatrixOracle:
         v = oracle.probe
         d = np.linalg.norm(default.b_flow(0.4, v) - series.b_flow(0.4, v))
         assert d <= 1e-13
+
+
+class TestLazyLinalg:
+    def test_cli_import_leaves_scipy_linalg_unloaded(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import mpesplit.cli; "
+                "print('scipy.linalg' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                             text=True, timeout=120, check=True)
+        assert out.stdout.strip() == "False"
+        from scipy.linalg import expm
+
+        M = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        assert np.array_equal(_expm_pade(M), expm(M))
 
 
 class TestCommutingPair:

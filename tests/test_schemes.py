@@ -1,4 +1,7 @@
 import math
+import multiprocessing
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpesplit.models import default_grid, flow_pair, initial_condition, make_model
+from mpesplit import harness, schemes
+from mpesplit.models import default_grid, flow_pair, initial_condition, make_model, model_names
 from mpesplit.schemes import (
     FlowPair,
     SplitScheme,
@@ -301,6 +305,148 @@ class TestCompensatedCombine:
         out = apply(catalog(name), flows, 0.05, state)
         ref = apply_allocating(catalog(name), flows, 0.05, state)
         assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
+
+
+class TestPlan:
+    def test_bins_balance_substep_counts(self):
+        # s6: terms of 3, 5 and 7 substeps; s4_2: 5, 5, 3 and 3
+        s6, s4_2 = catalog("s6").plan, catalog("s4_2").plan
+        assert [len(t) for t in s6.terms] == [3, 5, 7]
+        assert s6.bins == ((2,), (0, 1))
+        assert [len(t) for t in s4_2.terms] == [5, 5, 3, 3]
+        assert s4_2.bins == ((0, 2), (1, 3))
+        assert catalog("s4_4").plan.bins == ((1,), (0,))
+
+    @pytest.mark.parametrize("name", sorted(CATALOG_TABLE))
+    def test_every_term_in_one_bin(self, name):
+        plan = catalog(name).plan
+        assert sorted(plan.bins[0] + plan.bins[1]) == list(range(len(plan.terms)))
+        assert all(list(b) == sorted(b) for b in plan.bins)
+        single = len(plan.terms) == 1
+        assert plan.single == single and (plan.bins[1] == ()) == single
+
+    def test_substeps_drop_zero_coefficients(self):
+        # s3_2 term 0: stages (0, 1/3), (2/3, 2/3), (1/3, 0); flow 0 is A, 1 is B
+        assert catalog("s3_2").plan.terms[0] == (
+            (0, 1, 1 / 3), (1, 0, 2 / 3), (1, 1, 2 / 3), (2, 0, 1 / 3))
+        assert catalog("s3_2").plan.weights == (9 / 8, -1 / 8)
+
+    def test_built_once_per_scheme(self):
+        assert catalog("s6").plan is catalog("s6").plan
+
+
+def _raising_on(coefficients, tau):
+    """A B flow raising ValueError at the given stage coefficients, and the
+    threads it raised on."""
+    raised_on = []
+
+    def b_flow(t, s):
+        if any(t == float(c) * tau for c in coefficients):
+            raised_on.append(threading.current_thread())
+            raise ValueError(f"boom at {t}")
+        return s
+
+    return b_flow, raised_on
+
+
+def _s6_step():
+    return apply(catalog("s6"), linear_flows(1.0, -0.5), 0.1, np.ones(3)).tobytes()
+
+
+class TestTwoThreadStep:
+    """apply, with its terms split over two threads, against the serial
+    reference engine."""
+
+    @pytest.mark.parametrize("model_id", model_names())
+    @pytest.mark.parametrize("scheme", [catalog(n) for n in sorted(CATALOG_TABLE)]
+                             + [richardson_scheme((1, 2, 3, 4))], ids=lambda s: s.name)
+    def test_bit_identical_to_serial(self, model_id, scheme):
+        m = make_model(model_id)
+        g = default_grid(m, 16)
+        state = initial_condition(m, g)
+        before = state.copy()
+        for tau in (0.05, -0.05):
+            backward = tau < 0 or scheme.scheme_class == "spe_negative"
+            flows = flow_pair(m, g, allow_backward=backward)
+            with np.errstate(all="ignore"):
+                out = apply(scheme, flows, tau, state)
+                ref = apply_allocating(scheme, flows, tau, state)
+            assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
+        assert np.array_equal(state, before)
+
+    def test_helper_error_surfaces_on_caller(self):
+        # s4_4 runs term 1 here and term 0, the only one with b = 1, on the helper
+        b_flow, raised_on = _raising_on([1], 0.1)
+        with pytest.raises(RuntimeError, match=r"^scheme s4_4 term 0 stage 0: boom") as ei:
+            apply(catalog("s4_4"), FlowPair(lambda t, s: s, b_flow), 0.1, np.ones(4))
+        assert isinstance(ei.value.__cause__, ValueError)
+        assert str(ei.value.__cause__) == "boom at 0.1"
+        assert raised_on and raised_on[0] is not threading.current_thread()
+
+    def test_lowest_failing_term_surfaces(self):
+        # s4_2's bins are (0, 2) and (1, 3); term 1 opens with b = 1/4 on the
+        # helper, term 2 with b = 1 here, and the serial loop meets term 1 first
+        b_flow, raised_on = _raising_on([F(1, 4), 1], 0.1)
+        with pytest.raises(RuntimeError, match=r"^scheme s4_2 term 1 stage 0: boom"):
+            apply(catalog("s4_2"), FlowPair(lambda t, s: s, b_flow), 0.1, np.ones(4))
+        assert len(raised_on) == 2
+
+    def test_caller_error_state_applies_on_helper(self):
+        # only s4_4's term 0, on the helper, has b = 1 and overflows
+        def b_flow(t, s):
+            return s * (1e300 if t == 0.1 else 1.0)
+
+        flows = FlowPair(lambda t, s: s, b_flow)
+        with np.errstate(over="raise"):
+            with pytest.raises(RuntimeError, match="term 0 stage 0") as ei:
+                apply(catalog("s4_4"), flows, 0.1, np.full(4, 1e10))
+            assert isinstance(ei.value.__cause__, FloatingPointError)
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = apply(catalog("s4_4"), flows, 0.1, np.full(4, 1e10))
+            assert not np.any(np.isfinite(out))
+
+    def test_concurrent_callers(self):
+        m = make_model("toy")
+        g = default_grid(m, 16)
+        flows = flow_pair(m, g)
+        base = initial_condition(m, g)
+        states = [base * (1.0 + 0.1 * i) for i in range(4)]
+        expected = [apply_allocating(catalog("s6"), flows, 0.05, u) for u in states]
+        outcomes = [[] for _ in states]
+
+        def caller(i):
+            for _ in range(25):
+                outcomes[i].append(apply(catalog("s6"), flows, 0.05, states[i]).tobytes())
+
+        threads = [threading.Thread(target=caller, args=(i,)) for i in range(len(states))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got, ref in zip(outcomes, expected):
+            assert got == [ref.tobytes()] * 25
+
+    def test_forked_child_starts_its_own_helper(self):
+        expected = _s6_step()  # the helper thread now runs in this process
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            assert pool.apply_async(_s6_step).get(timeout=60) == expected
+
+    def test_single_term_schemes_stay_on_caller(self, monkeypatch):
+        def no_helper():
+            raise AssertionError("a single-term scheme used the helper thread")
+
+        monkeypatch.setattr(schemes, "_helper", no_helper)
+        flows = linear_flows(1.0, -0.5)
+        for name in ("lie1", "lie2", "strang_a", "strang_b", "s4_neg"):
+            apply(catalog(name), flows, 0.1, np.ones(3))
+        record = harness.run(harness.RunConfig(model="ac", nx=16, tau=0.1, t_final=0.2))
+        assert record.status == "ok"
 
 
 class TestJsonRoundtrip:
