@@ -121,10 +121,14 @@ class SpectralGrid:
     def grad_sq_integral(self, values: np.ndarray) -> float:
         """Integral of |grad u|^2 for a real state, by Parseval from one real
         transform; equal to integrating the squares of `gradient` up to
-        round-off."""
+        round-off. The power spectrum is built in one buffer beside the
+        spectrum, whose imaginary part is squared in place."""
         spec = _fft.rfftn(values)
-        power = spec.real**2 + spec.imag**2
-        return float(np.sum(self._grad_sq_half * power)) * (self.h / self.n) ** self.dim
+        np.square(spec.imag, out=spec.imag)
+        power = np.square(spec.real)
+        power += spec.imag
+        power *= self._grad_sq_half
+        return float(np.sum(power)) * (self.h / self.n) ** self.dim
 
     def __eq__(self, other):
         return (

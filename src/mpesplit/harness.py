@@ -3,10 +3,17 @@ the named experiment presets.
 
 A run is a loop of scheme steps with diagnostics sampled along the way.
 The steps follow one another; within a step, `schemes.apply` runs the terms
-of a multi-term scheme on two threads. Divergence (NaN or Inf anywhere in
-the state) stops the run and marks the record; for the negative-coefficient
-scheme that outcome is the experiment, so it is recorded rather than
-raised.
+of a multi-term scheme on two threads. The diagnostics of a step (its row,
+or only its max norm for the monitor) run on the same helper thread
+(`schemes.submit`) while the next step runs on the caller, and are
+collected when that step returns or raises, before anything that could
+observe them: the row is appended, the monitor runs, and only then is the
+new state checked. An adaptive run collects each row at once, because the
+controller needs its energy before it picks the next step size. Either way
+the rows, the final state and the errors raised are those of a serial loop.
+Divergence (NaN or Inf anywhere in the state) stops the run and marks the
+record; for the negative-coefficient scheme that outcome is the
+experiment, so it is recorded rather than raised.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import numpy as np
 
 from . import models as _models
 from .grid import Field, save_field
-from .schemes import apply, catalog
+from .schemes import apply, catalog, submit
 from .models import (
     ModelSpec,
     default_grid,
@@ -103,6 +110,15 @@ def _diag_row(model, step, t, tau, state, grid):
     return (step, t, tau, energy(model, state, grid), mass(model, state, grid), max_norm(state))
 
 
+def _diagnostics(model, step, t, tau, state, grid, need_row):
+    """(row, max norm) of a finished step; the row is None when none is
+    needed, and the max norm is then taken alone, for the monitor."""
+    if need_row:
+        row = _diag_row(model, step, t, tau, state, grid)
+        return row, row[5]
+    return None, max_norm(state)
+
+
 def checked_scheme(config: RunConfig):
     """The catalog scheme config names; the one place a scheme with negative
     coefficients is refused without allow_backward."""
@@ -124,23 +140,54 @@ def _setup(config: RunConfig):
 def run(config: RunConfig) -> RunRecord:
     model, grid, scheme, flows, state = _setup(config)
     monitor = _models._MODELS[model.id].monitor
-
-    rows = [_diag_row(model, 0, 0.0, 0.0, state, grid)]
-    if config.adaptive:
+    adaptive = config.adaptive
+    if adaptive:
         controller = StepController(config.tau_min, config.tau_max, config.alpha)
-        controller.record(0.0, rows[0][3])
+    rows = []
+
+    def observe(step, t, tau, state, keep_row):
+        """Hand step's diagnostics to the helper. Returns what `collect`
+        takes, or None when nothing is left to collect."""
+        need_row = keep_row or adaptive
+        if not (need_row or (monitor is not None and step)):
+            return None
+        future = submit(_diagnostics, model, step, t, tau, state, grid, need_row)
+        pending = future, step, t, keep_row
+        if adaptive:  # the controller needs the energy before it picks tau
+            collect(pending)
+            return None
+        return pending
+
+    def collect(pending):
+        """Wait for a step's diagnostics and do what the serial loop did
+        with them right after that step."""
+        if pending is None:
+            return
+        future, step, t, keep_row = pending
+        row, peak = future.result()
+        if adaptive:
+            controller.record(t, row[3])
+        if keep_row:
+            rows.append(row)
+        if monitor is not None and step:
+            monitor(model, step, peak)
 
     status, diverged_step = "ok", None
     t, step = 0.0, 0
     t_end = config.t_final
-    fixed_steps = None if config.adaptive else _steps_for(config.tau, t_end)
+    fixed_steps = None if adaptive else _steps_for(config.tau, t_end)
+    pending = observe(0, 0.0, 0.0, state, True)
     while t < t_end - 1e-14:
-        if config.adaptive:
+        if adaptive:
             tau = adaptive_tau(controller, estimate_e_prime(controller.history))
             tau = min(tau, t_end - t)  # shortened final step, recorded as taken
         else:
             tau = fixed_steps[step]
-        state = apply(scheme, flows, tau, state)
+        try:
+            state = apply(scheme, flows, tau, state)
+        finally:  # the previous step's diagnostics come first, errors included
+            collect(pending)
+        pending = None
         step += 1
         t = t_end if (fixed_steps and step == len(fixed_steps)) else t + tau
         if not np.all(np.isfinite(state)):
@@ -148,16 +195,8 @@ def run(config: RunConfig) -> RunRecord:
             rows.append((step, t, tau, float("nan"), float("nan"), float("nan")))
             break
         last = t >= t_end - 1e-14
-        need_diag = step % config.diagnostics_every == 0 or last
-        row = None
-        if need_diag or config.adaptive:
-            row = _diag_row(model, step, t, tau, state, grid)
-            if config.adaptive:
-                controller.record(t, row[3])
-            if need_diag:
-                rows.append(row)
-        if monitor is not None:
-            monitor(model, step, max_norm(state) if row is None else row[5])
+        pending = observe(step, t, tau, state, step % config.diagnostics_every == 0 or last)
+    collect(pending)
 
     record = RunRecord(config, model, rows, state, status, diverged_step)
     if config.out_dir:

@@ -48,14 +48,14 @@ class ModelSpec:
 @dataclass(frozen=True)
 class _Model:
     """A model's defaults and its own functions. X, Y are node coordinates
-    shifted by the model's origin."""
+    shifted by the model's origin, as meshgrids; x, y are those of one axis."""
     n: int
     length: float
     x0: float
     kind: str
     params: dict
     nu: Callable  # params -> nu, or a tuple with one nu per component
-    initial: Callable  # (model, X, Y) -> state
+    initial: Callable  # (model, x, y) -> state, x and y the shifted nodes of each axis
     b_flow: Callable  # (model, grid, RkConfig) -> B flow (tau, state) -> state
     M: float | None = None
     components: int = 1
@@ -77,9 +77,15 @@ def _eps_squared(p):
 
 
 def _double_well_energy(model, state, grid):
+    """eps^2/2 integral |grad u|^2 + integral (u^2 - 1)^2 / 4, the well term
+    in one buffer allocated after the gradient term has freed its own."""
     eps = model.params["eps"]
-    well = 0.25 * (state**2 - 1.0) ** 2
-    return float(0.5 * eps**2 * grid.grad_sq_integral(state) + grid.integrate(well))
+    gradient = 0.5 * eps**2 * grid.grad_sq_integral(state)
+    well = np.multiply(state, state)
+    well -= 1.0
+    well *= well
+    well *= 0.25
+    return float(gradient + grid.integrate(well))
 
 
 def _tanh_b_flow(model, grid, cfg):
@@ -87,23 +93,42 @@ def _tanh_b_flow(model, grid, cfg):
     return lambda tau, u: flow_tanh(u, lam, tau)
 
 
-def _ac_initial(model, X, Y):
+def _on_mesh(formula):
+    """An initial state given by a formula in the meshgrids X, Y."""
+    return lambda model, x, y: formula(model, *np.meshgrid(x, y, indexing="ij"))
+
+
+# (center x, center y, radius) of the seven circles of the ac initial state
+_AC_CIRCLES = (
+    (math.pi / 2, math.pi / 2, math.pi / 5),
+    (math.pi / 4, 3 * math.pi / 4, 2 * math.pi / 15),
+    (math.pi / 2, 5 * math.pi / 4, 2 * math.pi / 15),
+    (math.pi, math.pi / 4, math.pi / 10),
+    (3 * math.pi / 2, math.pi / 4, math.pi / 10),
+    (math.pi, math.pi, math.pi / 4),
+    (3 * math.pi / 2, 3 * math.pi / 2, math.pi / 4),
+)
+
+
+def _within(x, c, r):
+    """The slice of the sorted nodes x with |x - c| < r, as rounded."""
+    inside = np.flatnonzero(np.abs(x - c) < r)
+    return slice(inside[0], inside[-1] + 1) if inside.size else slice(0, 0)
+
+
+def _ac_initial(model, x, y):
+    """-1 plus a mollifier bump f0(s) = 2 exp(-eps^2/s^2) for each circle,
+    s the distance to its center minus its radius; f0 is 0 for s >= 0, so
+    each bump is evaluated on its circle's bounding box only. A node off
+    the box has s >= 0 as rounded too, so the sum is the full-grid one."""
     eps = model.params["eps"]
-    circles = [
-        (math.pi / 2, math.pi / 2, math.pi / 5),
-        (math.pi / 4, 3 * math.pi / 4, 2 * math.pi / 15),
-        (math.pi / 2, 5 * math.pi / 4, 2 * math.pi / 15),
-        (math.pi, math.pi / 4, math.pi / 10),
-        (3 * math.pi / 2, math.pi / 4, math.pi / 10),
-        (math.pi, math.pi, math.pi / 4),
-        (3 * math.pi / 2, 3 * math.pi / 2, math.pi / 4),
-    ]
-    u = -np.ones_like(X)
-    for cx, cy, r in circles:
-        s = np.sqrt((X - cx) ** 2 + (Y - cy) ** 2) - r
-        # mollifier bump f0(s) = 2 exp(-eps^2/s^2) for s < 0, else 0
+    u = np.full((x.size, y.size), -1.0)
+    for cx, cy, r in _AC_CIRCLES:
+        bx, by = _within(x, cx, r), _within(y, cy, r)
+        s = np.sqrt((x[bx, None] - cx) ** 2 + (y[None, by] - cy) ** 2) - r
         with np.errstate(divide="ignore"):
-            u += np.where(s < 0, 2.0 * np.exp(-(eps**2) / np.where(s >= 0, np.inf, s) ** 2), 0.0)
+            u[bx, by] += np.where(s < 0, 2.0 * np.exp(-(eps**2) / np.where(s >= 0, np.inf, s) ** 2),
+                                  0.0)
     return u
 
 
@@ -238,7 +263,7 @@ def _rd_monitor(model, step, peak):
 
 
 # the two Schroedinger models differ only in defaults, exact solution and potential
-_NLS = dict(kind="complex", nu=lambda p: 1j * p["eps"], initial=_nls_initial,
+_NLS = dict(kind="complex", nu=lambda p: 1j * p["eps"], initial=_on_mesh(_nls_initial),
             b_flow=_phase_b_flow, energy=_nls_energy,
             mass=lambda u, grid: float(grid.integrate(u.real**2 + u.imag**2)))
 
@@ -246,7 +271,7 @@ _MODELS = {
     "toy": _Model(
         n=1024, length=2 * math.pi, x0=0.0, kind="real", params=dict(eps=0.1, lam=1.0),
         nu=_eps_squared, b_flow=_tanh_b_flow,
-        initial=lambda m, X, Y: 0.5 * np.sin(X) * np.sin(Y),
+        initial=_on_mesh(lambda m, X, Y: 0.5 * np.sin(X) * np.sin(Y)),
     ),
     "ac": _Model(
         n=400, length=2 * math.pi, x0=0.0, kind="real", params=dict(eps=0.1), M=6.0,
@@ -254,12 +279,14 @@ _MODELS = {
     ),
     "cac": _Model(
         n=256, length=2.0, x0=-1.0, kind="real", params=dict(eps=0.02), M=6.0,
-        nu=_eps_squared, initial=_cac_initial, b_flow=_cac_b_flow, energy=_double_well_energy,
+        nu=_eps_squared, initial=_on_mesh(_cac_initial), b_flow=_cac_b_flow,
+        energy=_double_well_energy,
     ),
     "fkpp": _Model(
         n=512, length=1.0, x0=0.0, kind="real", params=dict(D=0.001, p=5, q=5), M=6.0,
         nu=lambda p: p["D"], b_flow=_fkpp_b_flow,
-        initial=lambda m, X, Y: 0.45 * np.cos(2 * math.pi * X) * np.cos(2 * math.pi * Y) + 0.5,
+        initial=_on_mesh(lambda m, X, Y: 0.45 * np.cos(2 * math.pi * X)
+                         * np.cos(2 * math.pi * Y) + 0.5),
     ),
     "nls_linear": _Model(
         n=400, length=16 * math.pi, x0=-8 * math.pi, params=dict(eps=1.0, rho=0.0), **_NLS,
@@ -275,7 +302,8 @@ _MODELS = {
     "rd_system": _Model(
         n=1024, length=2.0, x0=-1.0, kind="real",
         params=dict(k1_plus=1.0, k1_minus=0.1, D_u=0.2, D_v=0.1), M=6.0, components=2,
-        nu=lambda p: (p["D_u"], p["D_v"]), initial=_rd_initial, b_flow=_reaction_b_flow,
+        nu=lambda p: (p["D_u"], p["D_v"]), initial=_on_mesh(_rd_initial),
+        b_flow=_reaction_b_flow,
         energy=_rd_energy, mass=lambda s, grid: float(grid.integrate(s[0] + s[1])),
         monitor=_rd_monitor,
     ),
@@ -322,7 +350,8 @@ def _coords(model: ModelSpec, grid: SpectralGrid):
 
 
 def initial_condition(model: ModelSpec, grid: SpectralGrid) -> np.ndarray:
-    return _MODELS[model.id].initial(model, *_coords(model, grid))
+    x = grid.axis_points() + model.x0
+    return _MODELS[model.id].initial(model, x, x)
 
 
 def exact_solution(model: ModelSpec, t: float, grid: SpectralGrid) -> np.ndarray:
@@ -350,7 +379,12 @@ def mass(model: ModelSpec, state: np.ndarray, grid: SpectralGrid) -> float:
 
 
 def max_norm(state: np.ndarray) -> float:
-    return float(np.max(np.abs(state)))
+    """max |u|; NaN if the state holds one. A real state is read twice
+    instead of through a copy of its absolute values; `abs` turns the -0.0
+    of an all-zero state, and the sign of a NaN, into those of |u|."""
+    if np.iscomplexobj(state):
+        return float(np.max(np.abs(state)))
+    return abs(float(np.maximum(state.max(), -state.min())))
 
 
 def flow_pair(model: ModelSpec, grid: SpectralGrid, rk_substeps: int = 4,

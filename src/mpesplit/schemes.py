@@ -19,6 +19,11 @@ bins of about equal substep count. Bin 0 runs on the calling thread and
 bin 1 on one persistent helper thread. The results are then combined in
 term order with compensated summation, so a step is bit-identical to
 running the terms one after another.
+
+`submit` is the one way onto the helper: `apply` hands it bin 1 and the
+combine, and `harness.run` the diagnostics row of a finished step. The
+helper runs its work first in, first out, so a row handed over before a
+step runs ahead of that step's bin 1.
 """
 
 from __future__ import annotations
@@ -27,13 +32,15 @@ import contextvars
 import json
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
+
+from .grid import linear_propagate, make_grid
 
 F = Fraction
 
@@ -233,20 +240,40 @@ _helper_lock = threading.Lock()
 _helper_pool = None
 
 
+def _warm_up():
+    """One linear substep and one gradient integral on a 16^2 grid.
+
+    A thread's first array operations leave small blocks in its malloc
+    cache: freed, kept for reuse, and never merged with their neighbours.
+    Made here, before the helper holds any large array, they sit at the
+    bottom of its heap. Made by its first real job, they sit between the
+    state-sized blocks of a large grid and split the holes later blocks
+    need; with diagnostics rows on the helper, that raised the peak memory
+    of a 1024^2 `ac` run by one or two states in most runs."""
+    grid = make_grid(2, 16, 1.0)
+    grid.grad_sq_integral(linear_propagate(np.full(grid.shape, 0.5), 1.0, 0.1, grid))
+
+
 def _helper() -> ThreadPoolExecutor:
     """The one persistent helper thread, started on first use.
 
-    Its thread is started by a no-op before any step is handed to it, so a
-    step always finds it idle: otherwise the first step's calling thread
-    would wait in `Thread.start` while the new thread ran bin 1, and only
-    then begin bin 0."""
+    Its thread is started by `_warm_up` before any other work is handed to
+    it, so a step always finds it idle: otherwise the first step's calling
+    thread would wait in `Thread.start` while the new thread ran bin 1, and
+    only then begin bin 0."""
     global _helper_pool
     with _helper_lock:
         if _helper_pool is None:
             pool = ThreadPoolExecutor(1, thread_name_prefix="mpesplit-terms")
-            pool.submit(int).result()
+            pool.submit(_warm_up).result()
             _helper_pool = pool
         return _helper_pool
+
+
+def submit(fn, *args) -> Future:
+    """Run fn(*args) on the helper thread in a copy of the caller's context,
+    so settings such as `np.errstate` apply there too; returns its future."""
+    return _helper().submit(contextvars.copy_context().run, fn, *args)
 
 
 def _forget_helper():
@@ -299,11 +326,10 @@ def apply(scheme: SplitScheme, flows: FlowPair, tau: float, state):
     weights have mixed signs (up to 390625/72576 at order 10).
 
     The terms of `scheme.plan.bins[0]` run on the calling thread while those
-    of `bins[1]` run on the helper thread, so the flows must allow two calls
-    at once, and must not themselves call `apply` on a multi-term scheme.
-    Work on the helper runs in a copy of the caller's context, so settings
-    such as `np.errstate` apply there too. A single-term scheme has an empty
-    bin 1 and never uses the helper. Each substep is
+    of `bins[1]` run on the helper thread (`submit`), so the flows must
+    allow two calls at once, and must not themselves call `apply` on a
+    multi-term scheme. A single-term scheme has an empty bin 1 and never
+    uses the helper. Each substep is
     `flow(float(a) * tau, work)` as in a serial loop, and the results are
     combined in term order, so the step is bit-identical to running the
     terms one after another. If terms raise, the one with the lowest index
@@ -316,12 +342,11 @@ def apply(scheme: SplitScheme, flows: FlowPair, tau: float, state):
     instead of growing the calling thread's arena."""
     plan = scheme.plan
     results = [None] * len(plan.terms)
-    pool = _helper() if plan.bins[1] else None
-    if pool is not None:
-        bin1 = pool.submit(contextvars.copy_context().run,
-                           _run_bin, plan, 1, flows, tau, state, results)
+    two_bins = bool(plan.bins[1])
+    if two_bins:
+        bin1 = submit(_run_bin, plan, 1, flows, tau, state, results)
     failures = [_run_bin(plan, 0, flows, tau, state, results)]
-    if pool is not None:
+    if two_bins:
         failures.append(bin1.result())
     failures = [f for f in failures if f is not None]
     if failures:
@@ -329,9 +354,8 @@ def apply(scheme: SplitScheme, flows: FlowPair, tau: float, state):
         raise RuntimeError(f"scheme {scheme.name} term {ti} stage {si}: {exc}") from exc
     if plan.single:
         return results[0]
-    if pool is not None:
-        return pool.submit(contextvars.copy_context().run,
-                           _combine, plan.weights, results).result()
+    if two_bins:
+        return submit(_combine, plan.weights, results).result()
     return _combine(plan.weights, results)
 
 

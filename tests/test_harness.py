@@ -1,12 +1,14 @@
 import json
 import math
 import os
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mpesplit import harness, schemes
 from mpesplit.harness import (
     ConvergenceReport,
     RunConfig,
@@ -24,6 +26,7 @@ from mpesplit.harness import (
     record_to_json,
     run,
 )
+from reference_harness import run_serial
 
 
 class TestStepsFor:
@@ -158,6 +161,112 @@ class TestRun:
         rec = run(RunConfig(model="toy", scheme="lie1", nx=32, tau=0.1,
                             t_final=0.1, overrides={"lam": 0.0}))
         assert rec.model.params["lam"] == 0.0
+
+
+def _same_record(got, ref):
+    assert (got.status, got.diverged_step) == (ref.status, ref.diverged_step)
+    assert len(got.rows) == len(ref.rows)
+    assert np.asarray(got.rows, dtype=float).tobytes() == np.asarray(ref.rows, dtype=float).tobytes()
+    assert [type(v) for r in got.rows for v in r] == [type(v) for r in ref.rows for v in r]
+    assert got.final_state.dtype == ref.final_state.dtype
+    assert got.final_state.tobytes() == ref.final_state.tobytes()
+
+
+# (model, scheme, extra config): every case runs 7 steps or more
+_PIPELINE_CASES = {
+    "ac-strang_a": dict(model="ac", scheme="strang_a", tau=1 / 40, t_final=0.2),
+    "ac-s4_4": dict(model="ac", scheme="s4_4", tau=1 / 40, t_final=0.2),
+    "fkpp": dict(model="fkpp", scheme="s4_1", tau=1e-3, t_final=0.008),
+    "rd_system": dict(model="rd_system", scheme="s3_1", tau=0.01, t_final=0.08),
+    "nls_nonlinear-s6": dict(model="nls_nonlinear", scheme="s6", tau=0.01, t_final=0.07),
+    "cac_adaptive": dict(model="cac", scheme="s4_3", adaptive=True, tau_min=0.01,
+                         tau_max=0.1, alpha=1e6, t_final=0.75),
+}
+
+
+class TestPipelinedRun:
+    """run, with each row computed on the helper thread while the next step
+    runs, against the serial loop of reference_harness."""
+
+    @pytest.mark.parametrize("every", [1, 3])
+    @pytest.mark.parametrize("case", sorted(_PIPELINE_CASES))
+    def test_matches_serial_loop(self, case, every):
+        config = RunConfig(nx=32, diagnostics_every=every, **_PIPELINE_CASES[case])
+        got, ref = run(config), run_serial(config)
+        _same_record(got, ref)
+        assert len(ref.rows) >= (3 if every == 3 else 8)
+
+    @pytest.mark.parametrize("every", [1, 3])
+    def test_monitor_error_at_the_same_step(self, every):
+        config = RunConfig(model="rd_system", scheme="s3_1", nx=32, tau=1e-3, t_final=0.01,
+                           diagnostics_every=every, overrides={"M": 1.0})
+        with pytest.raises(RuntimeError, match="monitor") as ref:
+            run_serial(config)
+        with pytest.raises(RuntimeError, match="monitor") as got:
+            run(config)
+        assert type(got.value) is type(ref.value) and str(got.value) == str(ref.value)
+        assert "at step 1" in str(got.value)
+
+    def test_divergence_matches_serial_loop(self):
+        config = RunConfig(model="ac", scheme="s4_neg", nx=32, tau=5.0, t_final=100.0,
+                           allow_backward=True)
+        with np.errstate(all="ignore"):
+            got, ref = run(config), run_serial(config)
+        assert got.status == "diverged" and got.diverged_step == 3
+        _same_record(got, ref)
+
+    def test_monitor_error_wins_over_next_step_error(self, monkeypatch):
+        # step 1 leaves max |u| > M = 1, so its monitor fails; step 2's apply
+        # raises before that row is collected
+        calls = []
+        apply = harness.apply
+
+        def failing_second_step(*args):
+            calls.append(threading.current_thread())
+            if len(calls) == 2:
+                raise ArithmeticError("step 2 failed")
+            return apply(*args)
+
+        monkeypatch.setattr(harness, "apply", failing_second_step)
+        config = RunConfig(model="rd_system", scheme="lie1", nx=32, tau=1e-3, t_final=0.01,
+                           overrides={"M": 1.0})
+        with pytest.raises(RuntimeError, match="monitor: .* at step 1$"):
+            run(config)
+        assert len(calls) == 2
+        calls.clear()
+        with pytest.raises(ArithmeticError, match="step 2 failed"):
+            run(RunConfig(model="rd_system", scheme="lie1", nx=32, tau=1e-3, t_final=0.01))
+
+    def test_energy_error_of_a_row_wins(self, monkeypatch):
+        def bad_energy(model, state, grid):
+            raise ValueError("energy failed")
+
+        monkeypatch.setattr(harness, "energy", bad_energy)
+        monkeypatch.setattr(harness, "apply", lambda *args: 1 / 0)
+        with pytest.raises(ValueError, match="energy failed"):
+            run(RunConfig(model="ac", scheme="strang_a", nx=16, tau=0.1, t_final=0.2))
+
+    def test_rows_run_on_the_helper_steps_on_the_caller(self, monkeypatch):
+        threads = {"rows": set(), "steps": set()}
+        diagnostics, apply = harness._diagnostics, harness.apply
+
+        def spy_diagnostics(*args):
+            threads["rows"].add(threading.current_thread())
+            return diagnostics(*args)
+
+        def spy_apply(*args):
+            threads["steps"].add(threading.current_thread())
+            return apply(*args)
+
+        monkeypatch.setattr(harness, "_diagnostics", spy_diagnostics)
+        monkeypatch.setattr(harness, "apply", spy_apply)
+        for adaptive in (False, True):
+            config = RunConfig(model="cac", scheme="strang_a", nx=16, tau=0.05, t_final=0.2,
+                               adaptive=adaptive, tau_min=0.01, tau_max=0.05)
+            _same_record(run(config), run_serial(config))
+        assert threads["steps"] == {threading.current_thread()}
+        assert len(threads["rows"]) == 1 and threading.current_thread() not in threads["rows"]
+        assert threads["rows"] == {schemes.submit(threading.current_thread).result()}
 
 
 class TestSerialization:

@@ -27,6 +27,7 @@ from reference_flows import (
     ssprk104_loop,
 )
 from reference_spectral import nls_energy_on_grid
+import reference_models
 
 MPE_SCHEMES = ["sws2", "s3_1", "s3_2", "s4_1", "s4_2", "s4_3", "s4_4",
                "s6", "s8", "s10"]
@@ -456,3 +457,65 @@ class TestBufferedBFlows:
             assert np.array_equal(out[0], -out[1])
             ref = reaction_rhs(s, m.params["k1_plus"], m.params["k1_minus"])
             assert np.array_equal(out, ref)
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+class TestLeanDiagnostics:
+    """The in-place diagnostics against the allocating expressions, bit for
+    bit."""
+
+    @pytest.mark.parametrize("model_id", ["ac", "cac"])
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_double_well_energy(self, model_id, n):
+        m = make_model(model_id)
+        g = default_grid(m, n)
+        u = initial_condition(m, g)
+        rng = np.random.default_rng(n)
+        eps = m.params["eps"]
+        for state in (u, apply(catalog("strang_a"), flow_pair(m, g), 0.05, u),
+                      rng.uniform(-1.5, 1.5, g.shape), np.zeros(g.shape)):
+            before = state.copy()
+            assert _bits(g.grad_sq_integral(state)) == _bits(
+                reference_models.grad_sq_integral(g, state))
+            assert _bits(energy(m, state, g)) == _bits(
+                reference_models.double_well_energy(eps, state, g))
+            assert np.array_equal(state, before)
+
+    def test_grad_sq_integral_one_dimensional(self):
+        g = make_grid(1, 64, 2 * math.pi)
+        u = np.random.default_rng(3).standard_normal(64)
+        assert _bits(g.grad_sq_integral(u)) == _bits(reference_models.grad_sq_integral(g, u))
+
+    def test_max_norm(self):
+        rng = np.random.default_rng(5)
+        cases = [rng.standard_normal((16, 16)), rng.standard_normal((2, 8, 8)),
+                 np.zeros(4), -np.zeros(4), np.array([0.0, -0.0]), np.array([-np.inf, 1.0]),
+                 np.array([np.inf, -1.0]), np.array([-7.0, 7.0]), np.array([1e308, -1e-308]),
+                 rng.standard_normal(9) + 1j * rng.standard_normal(9)]
+        for state in cases:
+            assert _bits(max_norm(state)) == _bits(reference_models.max_norm(state)), state
+        for state in (np.array([1.0, np.nan, -2.0]), np.array([np.nan]),
+                      -np.array([np.nan, 1.0]), np.array([np.inf, np.nan])):
+            assert math.isnan(max_norm(state))
+            assert _bits(max_norm(state)) == _bits(reference_models.max_norm(state)), state
+
+
+class TestAcInitialBoxes:
+    @pytest.mark.parametrize("n", [16, 64, 128, 256, 400, 1024])
+    def test_bit_identical_to_full_mesh(self, n):
+        m = make_model("ac")
+        g = default_grid(m, n)
+        X, Y = g.nodes()
+        ref = reference_models.ac_initial_on_mesh(m.params["eps"], X + m.x0, Y + m.x0)
+        u = initial_condition(m, g)
+        assert u.dtype == ref.dtype and u.tobytes() == ref.tobytes()
+
+    def test_other_eps(self):
+        m = make_model("ac", eps=0.37)
+        g = default_grid(m, 128)
+        X, Y = g.nodes()
+        ref = reference_models.ac_initial_on_mesh(0.37, X, Y)
+        assert initial_condition(m, g).tobytes() == ref.tobytes()

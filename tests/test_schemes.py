@@ -24,6 +24,7 @@ from mpesplit.schemes import (
     scheme_stats,
     scheme_to_json,
 )
+from reference_harness import run_serial
 from reference_schemes import apply_allocating
 from wordseries import certified_order
 
@@ -270,19 +271,22 @@ class TestApply:
         assert isinstance(ei.value.__cause__, ValueError)
 
     def test_flow_error_index_points_at_failing_stage(self):
-        calls = {"n": 0}
+        # s3_2 term 0 has stages [(0,1/3),(2/3,2/3),(1/3,0)]: a is skipped at
+        # stage 0, so its second a call, the only one with a = 1/3, is term 0
+        # stage 2; term 1 calls a once, with a = 1. The flow fails on that
+        # coefficient, whichever thread runs which term first.
+        calls = []
 
         def flaky_a(tau, s):
-            calls["n"] += 1
-            if calls["n"] == 2:
+            calls.append(tau)
+            if tau == float(F(1, 3)) * 0.1:
                 raise ArithmeticError("overflow")
             return s
 
         flows = FlowPair(flaky_a, lambda tau, s: s)
-        # s3_2 term 0 has stages [(0,1/3),(2/3,2/3),(1/3,0)]: a is skipped at
-        # stage 0, so the second a call is term 0 stage 2
         with pytest.raises(RuntimeError, match="term 0 stage 2"):
             apply(catalog("s3_2"), flows, 0.1, np.ones(3))
+        assert sorted(calls) == sorted([float(F(2, 3)) * 0.1, float(F(1, 3)) * 0.1, 0.1])
 
     def test_zero_tau_identity(self):
         rng = np.random.default_rng(0)
@@ -437,16 +441,37 @@ class TestTwoThreadStep:
         with multiprocessing.get_context("fork").Pool(1) as pool:
             assert pool.apply_async(_s6_step).get(timeout=60) == expected
 
+    def test_helper_starts_with_warm_up(self, monkeypatch):
+        schemes._warm_up()
+        ran_on = []
+        monkeypatch.setattr(schemes, "_warm_up", lambda: ran_on.append(threading.current_thread()))
+        monkeypatch.setattr(schemes, "_helper_pool", None)
+        pool = schemes._helper()
+        try:
+            assert len(ran_on) == 1 and ran_on[0] is not threading.current_thread()
+            assert schemes._helper() is pool and len(ran_on) == 1
+        finally:
+            pool.shutdown()
+
     def test_single_term_schemes_stay_on_caller(self, monkeypatch):
         def no_helper():
             raise AssertionError("a single-term scheme used the helper thread")
 
-        monkeypatch.setattr(schemes, "_helper", no_helper)
-        flows = linear_flows(1.0, -0.5)
-        for name in ("lie1", "lie2", "strang_a", "strang_b", "s4_neg"):
-            apply(catalog(name), flows, 0.1, np.ones(3))
-        record = harness.run(harness.RunConfig(model="ac", nx=16, tau=0.1, t_final=0.2))
-        assert record.status == "ok"
+        with monkeypatch.context() as patched:
+            patched.setattr(schemes, "_helper", no_helper)
+            flows = linear_flows(1.0, -0.5)
+            for name in ("lie1", "lie2", "strang_a", "strang_b", "s4_neg"):
+                apply(catalog(name), flows, 0.1, np.ones(3))
+        # a run hands its rows to the helper (harness imports `submit`), but
+        # its steps, which reach the helper through `schemes.submit`, never do
+        submitted = []
+        monkeypatch.setattr(schemes, "submit", lambda fn, *args: submitted.append(fn))
+        config = harness.RunConfig(model="ac", scheme="strang_a", nx=16, tau=0.1, t_final=0.2)
+        record = harness.run(config)
+        assert record.status == "ok" and submitted == []
+        ref = run_serial(config)
+        assert np.asarray(record.rows).tobytes() == np.asarray(ref.rows).tobytes()
+        assert record.final_state.tobytes() == ref.final_state.tobytes()
 
 
 class TestJsonRoundtrip:
