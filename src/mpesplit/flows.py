@@ -142,6 +142,11 @@ def _buffers(u, out, work):
     return u, out, work
 
 
+def in_window(u, M: float) -> bool:
+    """Every value of u lies in [-M, M]; a NaN fails both comparisons."""
+    return u.max() <= M and u.min() >= -M
+
+
 def truncate_double_well(u, M: float, out=None, work=None):
     """f(u) = u - u**3 continued linearly outside [-M, M].
 
@@ -151,14 +156,24 @@ def truncate_double_well(u, M: float, out=None, work=None):
     continuation being the tangent at the knot; inside [-M, M] the tail term
     is exactly 0. out receives the result and work is one scratch array
     shaped like u; either is allocated when not given.
+
+    When u lies inside the window and the slope is finite, c is u itself
+    and the tail is the signed zero +0 * slope, so the clip and the tail's
+    passes are skipped. The result is bit-identical: adding a signed zero
+    changes only a -0.0, and c - c^3 is never -0.0 (a difference is -0.0
+    only for -0.0 minus +0.0, and (-0.0)^3 is -0.0).
     """
-    u, out, c = _buffers(u, out, work)
-    np.clip(u, -M, M, out=c)
+    u, out, work = _buffers(u, out, work)
+    slope = 1.0 - 3.0 * M * M
+    inside = math.isfinite(slope) and in_window(u, M)
+    c = u if inside else np.clip(u, -M, M, out=work)
     np.multiply(c, c, out=out)
     out *= c
     np.subtract(c, out, out=out)
+    if inside:
+        return out
     np.subtract(u, c, out=c)
-    c *= 1.0 - 3.0 * M * M
+    c *= slope
     out += c
     return out
 
@@ -179,6 +194,13 @@ def truncate_fkpp(u, M: float, p: int = 5, q: int = 5, K_pq: float | None = None
     max(u - M, 0) and min(u + M, 0), exactly 0 inside [-M, M]. out receives
     the result and work is one scratch array shaped like u; either is
     allocated when not given.
+
+    When u lies inside the window, c is u itself and the tails are
+    +0 * slope each, so the clip and the tails' passes are skipped and
+    their sum is added as one scalar: adding two signed zeros one after the
+    other gives what adding their sum gives, so the result is bit-identical.
+    (For K > 0 the sum is +0, which turns a result of -0.0 into +0.0, as
+    the tails do; a slope that overflowed makes it NaN, as it makes them.)
     """
     if (p, q) != (5, 5):
         raise NotImplementedError("truncation branches are printed for p = q = 5 only")
@@ -187,13 +209,17 @@ def truncate_fkpp(u, M: float, p: int = 5, q: int = 5, K_pq: float | None = None
     m4 = M**4
     slope_up = 5.0 * K * m4 * (1.0 - M) ** 4 * (1.0 - 2.0 * M)
     slope_lo = 5.0 * K * m4 * (1.0 + M) ** 4 * (1.0 + 2.0 * M)
-    np.clip(u, -M, M, out=w)
-    np.multiply(w, w, out=out)
-    np.subtract(w, out, out=out)  # w = c - c^2
+    inside = in_window(u, M)
+    c = u if inside else np.clip(u, -M, M, out=w)
+    np.multiply(c, c, out=out)
+    np.subtract(c, out, out=out)  # w = c - c^2
     np.multiply(out, out, out=w)
     w *= w
     out *= w
     out *= K  # K w^5
+    if inside:
+        out += 0.0 * slope_up + 0.0 * slope_lo
+        return out
     np.subtract(u, M, out=w)
     np.maximum(w, 0.0, out=w)
     w *= slope_up
@@ -211,6 +237,8 @@ def conservative_rhs(f_base, field, out=None):
 
     The result goes to out when given, which may be the array f_base
     returned; otherwise to a new array, so f_base's output is never modified.
+    The mean is the sum over the size, as `ndarray.mean` computes it,
+    without that method's Python-level dispatch.
     """
     fv = np.asarray(f_base(field))
-    return np.subtract(fv, fv.mean(), out=out)
+    return np.subtract(fv, np.add.reduce(fv, axis=None) / fv.size, out=out)

@@ -11,7 +11,10 @@ step size that never repeats costs exponentials of 1-D arrays and not of
 the whole grid, and then inverts that spectrum, its own temporary, with
 `overwrite_x=True`. The state it is given is never written. A real
 state's inverse runs one axis at a time (`_inverse_real`), so it holds no
-second copy of the spectrum and is still bit-identical to `irfftn`.
+second copy of the spectrum and is still bit-identical to `irfftn`. A
+system's components, stacked along a leading axis with one coefficient
+each, go through one transform over the grid's axes, each component's
+spectrum scaled by its own factors.
 """
 
 from __future__ import annotations
@@ -188,22 +191,26 @@ def _scale_by_axes(spec: np.ndarray, c: complex, k2_first: np.ndarray,
     spec *= np.exp(c * k2_last)
 
 
-def _inverse_real(spec: np.ndarray, n_last: int) -> np.ndarray:
-    """`irfftn(spec, s=...)` of a half spectrum, bit-identical to it, without
-    the full copy of the spectrum `irfftn` makes internally on a 2-D grid:
-    the unscaled inverse along the first axis overwrites spec, the unscaled
-    real inverse along the last axis makes the output, and that is then
-    scaled by 1/N^d rounded from long double, as pocketfft rounds it."""
-    if spec.ndim == 2:
-        spec = _fft.ifftn(spec, axes=(0,), norm="forward", overwrite_x=True)
+def _inverse_real(spec: np.ndarray, n_last: int, dim: int) -> np.ndarray:
+    """`irfftn` over the last `dim` axes of a half spectrum, bit-identical to
+    it, without the full copy of the spectrum `irfftn` makes internally on a
+    2-D grid: the unscaled inverse along the first grid axis overwrites
+    spec, the unscaled real inverse along the last axis makes the output,
+    and that is then scaled by 1/N^d rounded from long double, as pocketfft
+    rounds it. Axes before the last `dim` index separate transforms."""
+    if dim == 2:
+        spec = _fft.ifftn(spec, axes=(-2,), norm="forward", overwrite_x=True)
     out = _fft.irfftn(spec, s=(n_last,), axes=(-1,), norm="forward")
-    out *= float(np.longdouble(1) / np.longdouble(out.size))
+    out *= float(np.longdouble(1) / np.longdouble(n_last**dim))
     return out
 
 
-def linear_propagate(values: np.ndarray, nu: complex, tau: float, grid: SpectralGrid,
+def linear_propagate(values: np.ndarray, nu, tau: float, grid: SpectralGrid,
                      allow_backward: bool = False) -> np.ndarray:
     """Apply exp(tau * nu * Laplacian) via the Fourier multiplier exp(-tau*nu*lambda).
+
+    nu is one coefficient, or a tuple of one per component for a system
+    whose components are stacked along a leading axis (`_propagate_stacked`).
 
     A real state with real nu goes through `rfftn`/`irfftn` and the half
     axis's wavenumbers, Nyquist column included; the symbol is even in k,
@@ -217,6 +224,8 @@ def linear_propagate(values: np.ndarray, nu: complex, tau: float, grid: Spectral
     rejected unless allow_backward is set (the negative-coefficient scheme
     needs it, and accepts the consequences).
     """
+    if isinstance(nu, tuple):
+        return _propagate_stacked(values, nu, tau, grid, allow_backward)
     nu = complex(nu)
     if tau < 0 and nu.real > 0 and nu.imag == 0 and not allow_backward:
         raise ValueError("backward step with dissipative nu requires allow_backward")
@@ -225,10 +234,34 @@ def linear_propagate(values: np.ndarray, nu: complex, tau: float, grid: Spectral
     if nu.imag == 0 and np.isrealobj(values):
         spec = _fft.rfftn(values)
         _scale_by_axes(spec, -tau * nu.real, grid._k2, grid._k2_half)
-        return _inverse_real(spec, values.shape[-1])
+        return _inverse_real(spec, values.shape[-1], grid.dim)
     spec = _fft.fftn(values)
     _scale_by_axes(spec, -tau * nu, grid._k2, grid._k2)
     return _fft.ifftn(spec, overwrite_x=True)
+
+
+def _propagate_stacked(values, nus, tau, grid, allow_backward):
+    """`linear_propagate` of each component values[i] with nus[i], all in
+    one transform over the grid's axes, each component's spectrum scaled by
+    its own factors; on finite states each component is bit-identical to
+    propagating it alone."""
+    nus = [complex(c) for c in nus]
+    if tau < 0 and not allow_backward and any(c.real > 0 and c.imag == 0 for c in nus):
+        raise ValueError("backward step with dissipative nu requires allow_backward")
+    shape = (len(nus),) + grid.shape
+    if np.shape(values) != shape:
+        raise ValueError(f"state shape {np.shape(values)} does not match {shape}, "
+                         f"one component per nu on grid {grid.shape}")
+    axes = tuple(range(-grid.dim, 0))
+    if np.isrealobj(values) and all(c.imag == 0 for c in nus):
+        spec = _fft.rfftn(values, axes=axes)
+        for part, c in zip(spec, nus):
+            _scale_by_axes(part, -tau * c.real, grid._k2, grid._k2_half)
+        return _inverse_real(spec, values.shape[-1], grid.dim)
+    spec = _fft.fftn(values, axes=axes)
+    for part, c in zip(spec, nus):
+        _scale_by_axes(part, -tau * c, grid._k2, grid._k2)
+    return _fft.ifftn(spec, axes=axes, overwrite_x=True)
 
 
 # ---------------------------------------------------------------------------

@@ -272,6 +272,10 @@ class ConvergenceReport:
 
 
 def _steps_for(tau, t_final):
+    """Steps of size tau covering [0, t_final], the last one shortened when
+    tau does not divide t_final; tau must be finite and positive."""
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"step size tau must be finite and positive, got {tau}")
     n = round(t_final / tau)
     if abs(n * tau - t_final) < 1e-12 * t_final:
         return [tau] * int(n)

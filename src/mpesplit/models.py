@@ -25,6 +25,7 @@ from .flows import (
     flow_double_well,
     flow_phase,
     flow_tanh,
+    in_window,
     ssprk104,
     truncate_double_well,
     truncate_fkpp,
@@ -139,7 +140,7 @@ def _ac_b_flow(model, grid, cfg):
         # closed form while the solution sits inside the truncation window,
         # RK on the truncated nonlinearity once it leaves it; a NaN fails
         # both comparisons and so takes the RK branch
-        if u.max() <= M and u.min() >= -M:
+        if in_window(u, M):
             return flow_double_well(u, tau)
         out, work = _workspace(u), _workspace(u)
         return ssprk104(lambda x: truncate_double_well(x, M, out, work), u, tau, cfg)
@@ -389,19 +390,12 @@ def max_norm(state: np.ndarray) -> float:
 
 def flow_pair(model: ModelSpec, grid: SpectralGrid, rk_substeps: int = 4,
               allow_backward: bool = False) -> FlowPair:
-    """The A flow propagates each component with its own nu; the B flow is
-    the model's."""
+    """The A flow propagates each component with its own nu, all components
+    in one transform; the B flow is the model's."""
     nu = model_nu(model)
     b_flow = _MODELS[model.id].b_flow(model, grid, RkConfig(rk_substeps))
 
-    if isinstance(nu, tuple):
-        def a_flow(tau, s):
-            return np.stack([
-                linear_propagate(c, c_nu, tau, grid, allow_backward=allow_backward)
-                for c, c_nu in zip(s, nu)
-            ])
-    else:
-        def a_flow(tau, u):
-            return linear_propagate(u, nu, tau, grid, allow_backward=allow_backward)
+    def a_flow(tau, u):
+        return linear_propagate(u, nu, tau, grid, allow_backward=allow_backward)
 
     return FlowPair(a_flow, b_flow)

@@ -12,18 +12,22 @@ weight-c_i combination of the per-term results. Coefficients stay exact
 rationals until the moment they multiply tau.
 
 The terms all start from the same input state and are independent of one
-another, so `apply` runs them on two threads. Each scheme compiles once
+another, so `apply` can run them on two threads. Each scheme compiles once
 into a `Plan`: every term's non-zero substeps with their float
 coefficients, the float weights, and a fixed split of the terms into two
-bins of about equal substep count. Bin 0 runs on the calling thread and
-bin 1 on one persistent helper thread. The results are then combined in
-term order with compensated summation, so a step is bit-identical to
-running the terms one after another.
+bins of about equal substep count. On a state of `TWO_THREAD_MIN_BYTES` or
+more, bin 0 runs on the calling thread and bin 1 on one persistent helper
+thread; on a smaller state every term runs on the calling thread, because
+there each NumPy call does only a few microseconds of work and handing the
+interpreter lock between the threads costs more than the second core
+gives. Either way the results are combined in term order with compensated
+summation, so a step is bit-identical to running the terms one after
+another.
 
 `submit` is the one way onto the helper: `apply` hands it bin 1 and the
-combine, and `harness.run` the diagnostics row of a finished step. The
-helper runs its work first in, first out, so a row handed over before a
-step runs ahead of that step's bin 1.
+combine of a large state, and `harness.run` the diagnostics row of a
+finished step. The helper runs its work first in, first out, so a row
+handed over before a step runs ahead of that step's bin 1.
 """
 
 from __future__ import annotations
@@ -236,6 +240,13 @@ def catalog_names():
     return list(_CATALOG)
 
 
+# A multi-term step runs its two bins on two threads from this state size
+# up, and on the calling thread alone below it. On 2 cores, one step of the
+# reaction and Allen-Cahn models took longer on two threads than on one at
+# 64^2 and 128^2 real states (32 and 128 KiB), and two threads broke even
+# or won from about 256 KiB up.
+TWO_THREAD_MIN_BYTES = 256 * 1024
+
 _helper_lock = threading.Lock()
 _helper_pool = None
 
@@ -285,12 +296,12 @@ def _forget_helper():
 os.register_at_fork(after_in_child=_forget_helper)
 
 
-def _run_bin(plan, k, flows, tau, state, results):
-    """Run the terms of bin k in term order, storing each result at its
+def _run_terms(plan, indices, flows, tau, state, results):
+    """Run the terms at `indices` in that order, storing each result at its
     term index. Returns (term, stage, exception) for the first term that
-    raises, which ends the bin, or None."""
+    raises, which ends the run, or None."""
     flow = (flows.a_flow, flows.b_flow)
-    for ti in plan.bins[k]:
+    for ti in indices:
         work = state
         for si, f, c in plan.terms[ti]:
             try:
@@ -325,11 +336,14 @@ def apply(scheme: SplitScheme, flows: FlowPair, tau: float, state):
     multi-term results are combined with compensated summation because the
     weights have mixed signs (up to 390625/72576 at order 10).
 
-    The terms of `scheme.plan.bins[0]` run on the calling thread while those
-    of `bins[1]` run on the helper thread (`submit`), so the flows must
-    allow two calls at once, and must not themselves call `apply` on a
-    multi-term scheme. A single-term scheme has an empty bin 1 and never
-    uses the helper. Each substep is
+    On a state of `TWO_THREAD_MIN_BYTES` or more, the terms of
+    `scheme.plan.bins[0]` run on the calling thread while those of
+    `bins[1]` run on the helper thread (`submit`), so the flows must allow
+    two calls at once, and must not themselves call `apply` on a multi-term
+    scheme. On a smaller state, where the hand-offs of the interpreter lock
+    between the threads cost more than the second core gives, every term
+    runs on the calling thread in term order, and so does the whole step of
+    a single-term scheme, whose bin 1 is empty. Each substep is
     `flow(float(a) * tau, work)` as in a serial loop, and the results are
     combined in term order, so the step is bit-identical to running the
     terms one after another. If terms raise, the one with the lowest index
@@ -342,12 +356,12 @@ def apply(scheme: SplitScheme, flows: FlowPair, tau: float, state):
     instead of growing the calling thread's arena."""
     plan = scheme.plan
     results = [None] * len(plan.terms)
-    two_bins = bool(plan.bins[1])
+    two_bins = bool(plan.bins[1]) and np.asarray(state).nbytes >= TWO_THREAD_MIN_BYTES
     if two_bins:
-        bin1 = submit(_run_bin, plan, 1, flows, tau, state, results)
-    failures = [_run_bin(plan, 0, flows, tau, state, results)]
-    if two_bins:
-        failures.append(bin1.result())
+        bin1 = submit(_run_terms, plan, plan.bins[1], flows, tau, state, results)
+        failures = [_run_terms(plan, plan.bins[0], flows, tau, state, results), bin1.result()]
+    else:
+        failures = [_run_terms(plan, range(len(plan.terms)), flows, tau, state, results)]
     failures = [f for f in failures if f is not None]
     if failures:
         ti, si, exc = min(failures, key=lambda f: f[0])

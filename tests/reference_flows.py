@@ -2,8 +2,9 @@
 
 These are the straightforward forms the package's buffered code must agree
 with: the truncated nonlinearities evaluated branch by branch from their
-printed formulas, the SSP-RK(10,4) two-register loop with a fresh array for
-every stage, and the model right-hand sides written as plain expressions.
+printed formulas, the clip-plus-tail truncations that always take the
+tails, the SSP-RK(10,4) two-register loop with a fresh array for every
+stage, and the model right-hand sides written as plain expressions.
 """
 
 import math
@@ -30,6 +31,54 @@ def fkpp_branches(u, M, K=2772.0):
         9.0 * M * M + 4.0 * M
     )
     return np.where(u > M, upper, np.where(u < -M, lower, K * u**5 * (1.0 - u) ** 5))
+
+
+def double_well_with_tail(u, M):
+    """The clip-plus-tail double-well truncation without the in-window
+    shortcut: it always clips and adds the tail (1 - 3 M^2)(u - c)."""
+    u = np.asarray(u, dtype=float)
+    out, c = np.empty_like(u), np.empty_like(u)
+    np.clip(u, -M, M, out=c)
+    np.multiply(c, c, out=out)
+    out *= c
+    np.subtract(c, out, out=out)
+    np.subtract(u, c, out=c)
+    c *= 1.0 - 3.0 * M * M
+    out += c
+    return out
+
+
+def fkpp_with_tails(u, M, K=2772.0):
+    """The clip-plus-tail FKPP truncation without the in-window shortcut: it
+    always clips and adds both linear tails, max(u - M, 0) and
+    min(u + M, 0) times their slopes."""
+    u = np.asarray(u, dtype=float)
+    out, w = np.empty_like(u), np.empty_like(u)
+    m4 = M**4
+    slope_up = 5.0 * K * m4 * (1.0 - M) ** 4 * (1.0 - 2.0 * M)
+    slope_lo = 5.0 * K * m4 * (1.0 + M) ** 4 * (1.0 + 2.0 * M)
+    np.clip(u, -M, M, out=w)
+    np.multiply(w, w, out=out)
+    np.subtract(w, out, out=out)
+    np.multiply(out, out, out=w)
+    w *= w
+    out *= w
+    out *= K
+    np.subtract(u, M, out=w)
+    np.maximum(w, 0.0, out=w)
+    w *= slope_up
+    out += w
+    np.add(u, M, out=w)
+    np.minimum(w, 0.0, out=w)
+    w *= slope_lo
+    out += w
+    return out
+
+
+def conservative_rhs_mean(f_base, field):
+    """f_base(field) minus its mean, taken by `ndarray.mean`."""
+    fv = np.asarray(f_base(field))
+    return fv - fv.mean()
 
 
 def ssprk104_loop(f, v, tau, substeps=4):

@@ -3,14 +3,17 @@
 The linear propagator with its multiplier exp(-tau*nu*lambda) built on the
 whole grid from the wavenumbers and applied through the full complex
 transform, the NLS energy with its gradient term integrated as
--eps * conj(u) * Laplacian(u) on the grid, and the inverse real transform
-of a half spectrum in one `irfftn` call.
+-eps * conj(u) * Laplacian(u) on the grid, the inverse real transform
+of a half spectrum in one `irfftn` call, and a system's components
+propagated one call each.
 """
 
 import math
 
 import numpy as np
 from scipy import fft as _fft
+
+from mpesplit.grid import linear_propagate
 
 
 def laplacian_on_grid(grid):
@@ -43,3 +46,10 @@ def nls_energy_on_grid(eps, rho, omega, state, grid):
 def inverse_real(spec, n_last):
     """irfftn of a half spectrum whose last axis has n_last // 2 + 1 columns."""
     return _fft.irfftn(spec, s=spec.shape[:-1] + (n_last,))
+
+
+def propagate_each_component(values, nus, tau, grid, allow_backward=False):
+    """One `linear_propagate` call per component, each with its own nu,
+    stacked along the leading axis."""
+    return np.stack([linear_propagate(c, nu, tau, grid, allow_backward=allow_backward)
+                     for c, nu in zip(values, nus)])

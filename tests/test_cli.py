@@ -344,7 +344,8 @@ class TestConverge:
 
 
 class TestRuntimeErrors:
-    """A RuntimeError from the library is one error line and exit 2."""
+    """A RuntimeError or ValueError raised while running is one error line
+    and exit 2."""
 
     @pytest.mark.parametrize("argv,reason", [
         (("run", "--model", "rd_system", "--scheme", "lie1", "--nx", "32",
@@ -352,6 +353,12 @@ class TestRuntimeErrors:
         (("converge", "--model", "ac", "--scheme", "s4_neg", "--nx", "16",
           "--taus", "0.1,0.05", "--tfinal", "0.2", "--ref-scheme", "strang_a",
           "--ref-tau", "0.05"), "allow_backward"),
+        (("run", "--model", "fkpp", "--nx", "16", "--tau", "0", "--tfinal", "0.1"),
+         "finite and positive"),
+        (("preset", "fkpp", "--nx", "16", "--tau", "0", "--tfinal", "0.01"),
+         "finite and positive"),
+        (("run", "--model", "fkpp", "--nx", "16", "--tau", "-0.01", "--tfinal", "0.1"),
+         "finite and positive"),
     ])
     def test_reported_and_exit_2(self, capsys, argv, reason):
         code, _, err = run_cli(capsys, *argv)

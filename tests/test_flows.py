@@ -19,9 +19,12 @@ from mpesplit.flows import (
 from mpesplit import models
 from mpesplit.models import default_grid, flow_pair, initial_condition, make_model, potential
 from reference_flows import (
+    conservative_rhs_mean,
     double_well_branches,
+    double_well_with_tail,
     double_well_expression,
     fkpp_branches,
+    fkpp_with_tails,
     inside_window,
     phase_rotation,
     ssprk104_loop,
@@ -389,6 +392,71 @@ class TestTruncationFastPaths:
     def test_integer_input(self):
         assert float(truncate_double_well(2, 6.0)) == -6.0
         assert float(truncate_fkpp(2, 6.0)) == -2772.0 * 32
+
+
+class TestRhsShortcuts:
+    """The truncations, which skip their clip and tails inside the window,
+    against the forms that always take them, and the conservative mean
+    against `ndarray.mean`, byte for byte."""
+
+    @staticmethod
+    def _edge_values(M):
+        """Signed zeros, values that underflow in the powers, and the knots."""
+        small = [x for x in (1e-300, 5e-324, 1e-160, 0.5, 1.0 - 1e-16, 1.0) if x <= M]
+        edge = [0.0] + small + [M, np.nextafter(M, 0.0)]
+        return np.array(edge + [-x for x in edge])
+
+    @staticmethod
+    def _pairs(M, K=2772.0):
+        """(package, reference) pairs of the two truncations."""
+        return [(lambda u, **kw: truncate_double_well(u, M, **kw),
+                 lambda u: double_well_with_tail(u, M)),
+                (lambda u, **kw: truncate_fkpp(u, M, K_pq=K, **kw),
+                 lambda u: fkpp_with_tails(u, M, K))]
+
+    # M = 0.3: the double-well slope and both FKPP slopes are positive;
+    # K < 0 with M = 0.3 makes both FKPP slopes negative, so the tails add -0
+    @pytest.mark.parametrize("M,K", [(0.3, 2772.0), (0.3, -1.5), (0.5, 2772.0),
+                                     (1.0, 2772.0), (6.0, 2772.0)])
+    def test_inside_window_bytes(self, M, K):
+        rng = np.random.default_rng(20)
+        inside = np.concatenate([self._edge_values(M), rng.uniform(-M, M, 400_000)])
+        assert inside.max() <= M and inside.min() >= -M
+        for fast, ref in self._pairs(M, K):
+            out = fast(inside)
+            assert out.tobytes() == ref(inside).tobytes()
+
+    @pytest.mark.parametrize("M", [0.5, 6.0])
+    @pytest.mark.parametrize("extra", [np.nan, np.inf, -np.inf, 7.0, -6.5])
+    def test_outside_window_bytes(self, M, extra):
+        rng = np.random.default_rng(21)
+        u = np.concatenate([self._edge_values(M), rng.uniform(-M, M, 1000), [extra]])
+        for fast, ref in self._pairs(M):
+            out, work = np.empty_like(u), np.empty_like(u)
+            with np.errstate(invalid="ignore"):
+                got = fast(u, out=out, work=work)
+                expected = ref(u)
+            assert got is out and got.tobytes() == expected.tobytes()
+
+    def test_overflowing_slope_takes_the_tails(self):
+        # the slopes overflow to inf, so a tail of 0 * inf is NaN
+        u = np.array([0.25, -0.5, 0.0])
+        with np.errstate(invalid="ignore", over="ignore"):
+            got, ref = truncate_fkpp(u, 1e70), fkpp_with_tails(u, 1e70)
+            assert np.all(np.isnan(ref)) and got.tobytes() == ref.tobytes()
+            got, ref = truncate_double_well(u, 1e200), double_well_with_tail(u, 1e200)
+            assert np.all(np.isnan(ref)) and got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("shape", [(16, 16), (64, 64), (2, 8, 8), (5,), (7, 9), (48, 48)])
+    def test_conservative_mean_bytes(self, shape):
+        rng = np.random.default_rng(22)
+        for _ in range(5):
+            u = rng.uniform(-8.0, 8.0, shape)
+            for base in (lambda s: truncate_double_well(s, 6.0), lambda s: s * s * s):
+                ref = conservative_rhs_mean(base, u)
+                assert conservative_rhs(base, u).tobytes() == ref.tobytes()
+                buf = np.empty_like(u)
+                assert conservative_rhs(base, u, out=buf).tobytes() == ref.tobytes()
 
 
 def _real_state():

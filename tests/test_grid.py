@@ -16,7 +16,7 @@ from mpesplit.grid import (
     make_grid,
     save_field,
 )
-from reference_spectral import inverse_real, propagate_full
+from reference_spectral import inverse_real, propagate_each_component, propagate_full
 
 # grid sizes that appear in the model registry
 CATALOG_SIZES = [1024, 400, 256, 512]
@@ -267,9 +267,49 @@ class TestInverseReal:
         spec.flat[1] = np.nan
         spec.flat[-1] = np.inf
         ref = inverse_real(spec, n)
-        out = _inverse_real(spec.copy(), n)
+        out = _inverse_real(spec.copy(), n, dim)
         assert out.shape == ref.shape and out.dtype == ref.dtype
         assert out.tobytes() == ref.tobytes()
+
+
+class TestStackedComponents:
+    """Components stacked on a leading axis, one nu each, in one transform,
+    against one `linear_propagate` call per component, byte for byte."""
+
+    # the backward step grows the stiffest mode by at most e^65, so every
+    # value stays finite; NaN and inf carry no byte-level promise
+    @pytest.mark.parametrize("dim,n", [(1, 64), (2, 16), (2, 64), (2, 128), (2, 256)])
+    @pytest.mark.parametrize("tau", [1e-3, -1e-3])
+    def test_bit_identical_to_one_call_each(self, dim, n, tau):
+        g = make_grid(dim, n, 2.0)
+        rng = np.random.default_rng(n)
+        nus = (0.2, 0.1)
+        state = rng.uniform(0.5, 2.5, (2,) + g.shape)
+        before = state.copy()
+        out = linear_propagate(state, nus, tau, g, allow_backward=True)
+        ref = propagate_each_component(state, nus, tau, g, allow_backward=True)
+        assert out.shape == ref.shape and out.dtype == ref.dtype
+        assert out[0].tobytes() == ref[0].tobytes() and out[1].tobytes() == ref[1].tobytes()
+        assert np.array_equal(state, before)
+
+    def test_complex_components(self):
+        g = make_grid(2, 32, 2.0)
+        rng = np.random.default_rng(6)
+        state = rng.standard_normal((3,) + g.shape) + 1j * rng.standard_normal((3,) + g.shape)
+        for nus in ((0.2, 0.5j, 0.1), (0.2, 0.3, 0.1)):
+            out = linear_propagate(state, nus, -0.1, g, allow_backward=True)
+            assert out.tobytes() == propagate_each_component(
+                state, nus, -0.1, g, allow_backward=True).tobytes()
+
+    def test_backward_and_shape_checked(self):
+        g = make_grid(2, 16, 2.0)
+        state = np.ones((2,) + g.shape)
+        with pytest.raises(ValueError, match="allow_backward"):
+            linear_propagate(state, (0.2, 0.1), -0.1, g)
+        with pytest.raises(ValueError, match="shape"):
+            linear_propagate(state, (0.2, 0.1, 0.3), 0.1, g)
+        with pytest.raises(ValueError, match="shape"):
+            linear_propagate(state[0], (0.2,), 0.1, g)
 
 
 class TestLaplacianSymbols:

@@ -43,6 +43,11 @@ class TestStepsFor:
         # 1/0.1 is not an exact float division; no 1e-17 ghost step
         assert len(_steps_for(0.1, 1.0)) == 10
 
+    @pytest.mark.parametrize("tau", [0.0, -0.0, -0.01, math.inf, -math.inf, math.nan])
+    def test_rejects_non_positive_or_non_finite_tau(self, tau):
+        with pytest.raises(ValueError, match="finite and positive"):
+            _steps_for(tau, 1.0)
+
     @settings(derandomize=True, max_examples=100)
     @given(
         tau=st.floats(min_value=1e-3, max_value=10.0),

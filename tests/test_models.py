@@ -26,7 +26,7 @@ from reference_flows import (
     reaction_rhs,
     ssprk104_loop,
 )
-from reference_spectral import nls_energy_on_grid
+from reference_spectral import nls_energy_on_grid, propagate_each_component
 import reference_models
 
 MPE_SCHEMES = ["sws2", "s3_1", "s3_2", "s4_1", "s4_2", "s4_3", "s4_4",
@@ -383,6 +383,28 @@ class TestFlowPairs:
         out = flows.a_flow(0.05, state)
         assert out.shape == state.shape
         assert abs(mass(m, out, g) - m0) <= 1e-12 * abs(m0)
+
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    def test_reaction_a_flow_one_transform(self, n, monkeypatch):
+        # one linear_propagate call for both components, byte for byte the
+        # two one-component calls, at +-tau (small enough to stay finite)
+        m = make_model("rd_system")
+        g = grid_for(m, n)
+        state = initial_condition(m, g)
+        rng = np.random.default_rng(n)
+        noisy = state + 0.01 * rng.standard_normal(state.shape)
+        flows = flow_pair(m, g, allow_backward=True)
+        for tau in (1e-3, -1e-3):
+            for s in (state, noisy):
+                ref = propagate_each_component(s, model_nu(m), tau, g, allow_backward=True)
+                out = flows.a_flow(tau, s)
+                assert out[0].tobytes() == ref[0].tobytes()
+                assert out[1].tobytes() == ref[1].tobytes()
+        calls = []
+        monkeypatch.setattr(models, "linear_propagate",
+                            lambda *args, **kw: calls.append(args[1]) or state)
+        flow_pair(m, g).a_flow(0.05, state)
+        assert calls == [model_nu(m)]
 
     def test_growth_flow_monotone_on_band(self):
         m = make_model("fkpp")

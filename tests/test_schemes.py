@@ -270,7 +270,7 @@ class TestApply:
             apply(catalog("lie1"), flows, 0.1, np.ones(3))
         assert isinstance(ei.value.__cause__, ValueError)
 
-    def test_flow_error_index_points_at_failing_stage(self):
+    def test_flow_error_index_points_at_failing_stage(self, monkeypatch):
         # s3_2 term 0 has stages [(0,1/3),(2/3,2/3),(1/3,0)]: a is skipped at
         # stage 0, so its second a call, the only one with a = 1/3, is term 0
         # stage 2; term 1 calls a once, with a = 1. The flow fails on that
@@ -284,9 +284,16 @@ class TestApply:
             return s
 
         flows = FlowPair(flaky_a, lambda tau, s: s)
+        with monkeypatch.context() as two_bins:
+            two_bins.setattr(schemes, "TWO_THREAD_MIN_BYTES", 0)
+            with pytest.raises(RuntimeError, match="term 0 stage 2"):
+                apply(catalog("s3_2"), flows, 0.1, np.ones(3))
+        assert sorted(calls) == sorted([float(F(2, 3)) * 0.1, float(F(1, 3)) * 0.1, 0.1])
+        # on the calling thread alone the failing term 0 ends the step
+        calls.clear()
         with pytest.raises(RuntimeError, match="term 0 stage 2"):
             apply(catalog("s3_2"), flows, 0.1, np.ones(3))
-        assert sorted(calls) == sorted([float(F(2, 3)) * 0.1, float(F(1, 3)) * 0.1, 0.1])
+        assert calls == [float(F(2, 3)) * 0.1, float(F(1, 3)) * 0.1]
 
     def test_zero_tau_identity(self):
         rng = np.random.default_rng(0)
@@ -359,7 +366,12 @@ def _s6_step():
 
 class TestTwoThreadStep:
     """apply, with its terms split over two threads, against the serial
-    reference engine."""
+    reference engine. The states here are small, so the size threshold is
+    lowered to 0 to send every multi-term step to the two-bin path."""
+
+    @pytest.fixture(autouse=True)
+    def two_bins_for_every_state(self, monkeypatch):
+        monkeypatch.setattr(schemes, "TWO_THREAD_MIN_BYTES", 0)
 
     @pytest.mark.parametrize("model_id", model_names())
     @pytest.mark.parametrize("scheme", [catalog(n) for n in sorted(CATALOG_TABLE)]
@@ -472,6 +484,71 @@ class TestTwoThreadStep:
         ref = run_serial(config)
         assert np.asarray(record.rows).tobytes() == np.asarray(ref.rows).tobytes()
         assert record.final_state.tobytes() == ref.final_state.tobytes()
+
+
+def _no_helper(*args):
+    raise AssertionError("a step below the size threshold used the helper thread")
+
+
+class TestSizeChoice:
+    """A multi-term step uses the two bins from TWO_THREAD_MIN_BYTES up and
+    the calling thread alone below it; both are the serial reference byte
+    for byte."""
+
+    def test_threshold(self):
+        assert schemes.TWO_THREAD_MIN_BYTES == 256 * 1024
+
+    @pytest.mark.parametrize("name", ["sws2", "s3_2", "s4_2", "s6", "s10"])
+    def test_below_never_touches_helper(self, name, monkeypatch):
+        monkeypatch.setattr(schemes, "_helper", _no_helper)
+        monkeypatch.setattr(schemes, "submit", _no_helper)
+        flows = linear_flows(1.0, -0.5)
+        state = np.linspace(0.5, 1.5, schemes.TWO_THREAD_MIN_BYTES // 8 - 1)
+        out = apply(catalog(name), flows, 0.1, state)
+        assert out.tobytes() == apply_allocating(catalog(name), flows, 0.1, state).tobytes()
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_at_threshold_uses_helper(self, dtype, monkeypatch):
+        submitted = []
+        submit = schemes.submit
+        monkeypatch.setattr(schemes, "submit",
+                            lambda fn, *args: submitted.append(fn) or submit(fn, *args))
+        flows = linear_flows(1.0, -0.5)
+        state = np.ones(schemes.TWO_THREAD_MIN_BYTES // np.dtype(dtype).itemsize, dtype)
+        assert state.nbytes == schemes.TWO_THREAD_MIN_BYTES
+        out = apply(catalog("s6"), flows, 0.1, state)
+        assert submitted  # bin 1 and the combine went to the helper
+        assert out.tobytes() == apply_allocating(catalog("s6"), flows, 0.1, state).tobytes()
+
+    @pytest.mark.parametrize("model_id,n,name,two_bins", [
+        ("cac", 64, "s4_3", False),         # 32 KiB
+        ("fkpp", 128, "s4_1", False),       # 128 KiB
+        ("rd_system", 128, "s3_1", True),   # 2 x 128 KiB, exactly the threshold
+        ("nls_linear", 128, "s6", True),    # complex, exactly the threshold
+        ("ac", 192, "s4_4", True),          # 288 KiB
+    ])
+    def test_model_states_bit_identical(self, model_id, n, name, two_bins, monkeypatch):
+        submitted = []
+        submit = schemes.submit
+        monkeypatch.setattr(schemes, "submit",
+                            lambda fn, *args: submitted.append(fn) or submit(fn, *args))
+        m = make_model(model_id)
+        g = default_grid(m, n)
+        state = initial_condition(m, g)
+        flows = flow_pair(m, g)
+        out = apply(catalog(name), flows, 0.01, state)
+        ref = apply_allocating(catalog(name), flows, 0.01, state)
+        assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
+        assert bool(submitted) == two_bins
+
+    def test_below_lowest_failing_term_surfaces(self):
+        # on the calling thread the terms run in order, so term 1 fails first
+        # and term 2 never runs
+        b_flow, raised_on = _raising_on([F(1, 4), 1], 0.1)
+        with pytest.raises(RuntimeError, match=r"^scheme s4_2 term 1 stage 0: boom") as ei:
+            apply(catalog("s4_2"), FlowPair(lambda t, s: s, b_flow), 0.1, np.ones(4))
+        assert isinstance(ei.value.__cause__, ValueError)
+        assert raised_on == [threading.current_thread()]
 
 
 class TestJsonRoundtrip:
