@@ -147,7 +147,7 @@ def in_window(u, M: float) -> bool:
     return u.max() <= M and u.min() >= -M
 
 
-def truncate_double_well(u, M: float, out=None, work=None):
+def truncate_double_well(u, M: float, out=None, work=None, test_window: bool = True):
     """f(u) = u - u**3 continued linearly outside [-M, M].
 
     The slope outside is 1 - 3 M^2, so sup |f'| = 3 M^2 - 1 for M >= 1.
@@ -161,11 +161,13 @@ def truncate_double_well(u, M: float, out=None, work=None):
     and the tail is the signed zero +0 * slope, so the clip and the tail's
     passes are skipped. The result is bit-identical: adding a signed zero
     changes only a -0.0, and c - c^3 is never -0.0 (a difference is -0.0
-    only for -0.0 minus +0.0, and (-0.0)^3 is -0.0).
+    only for -0.0 minus +0.0, and (-0.0)^3 is -0.0). The test costs one or
+    two reductions, so a caller whose states have left the window passes
+    test_window=False to clip without it; the bytes are the same.
     """
     u, out, work = _buffers(u, out, work)
     slope = 1.0 - 3.0 * M * M
-    inside = math.isfinite(slope) and in_window(u, M)
+    inside = test_window and math.isfinite(slope) and in_window(u, M)
     c = u if inside else np.clip(u, -M, M, out=work)
     np.multiply(c, c, out=out)
     out *= c
@@ -184,7 +186,7 @@ def fkpp_constant(p: int = 5, q: int = 5) -> float:
 
 
 def truncate_fkpp(u, M: float, p: int = 5, q: int = 5, K_pq: float | None = None,
-                  out=None, work=None):
+                  out=None, work=None, test_window: bool = True):
     """K u^5 (1-u)^5 continued linearly outside [-M, M], branches as printed.
 
     The linear continuations are specific to p = q = 5. Each is the tangent
@@ -201,6 +203,7 @@ def truncate_fkpp(u, M: float, p: int = 5, q: int = 5, K_pq: float | None = None
     other gives what adding their sum gives, so the result is bit-identical.
     (For K > 0 the sum is +0, which turns a result of -0.0 into +0.0, as
     the tails do; a slope that overflowed makes it NaN, as it makes them.)
+    test_window=False clips without testing, as in `truncate_double_well`.
     """
     if (p, q) != (5, 5):
         raise NotImplementedError("truncation branches are printed for p = q = 5 only")
@@ -209,7 +212,7 @@ def truncate_fkpp(u, M: float, p: int = 5, q: int = 5, K_pq: float | None = None
     m4 = M**4
     slope_up = 5.0 * K * m4 * (1.0 - M) ** 4 * (1.0 - 2.0 * M)
     slope_lo = 5.0 * K * m4 * (1.0 + M) ** 4 * (1.0 + 2.0 * M)
-    inside = in_window(u, M)
+    inside = test_window and in_window(u, M)
     c = u if inside else np.clip(u, -M, M, out=w)
     np.multiply(c, c, out=out)
     np.subtract(c, out, out=out)  # w = c - c^2

@@ -139,11 +139,13 @@ def _ac_b_flow(model, grid, cfg):
     def b_flow(tau, u):
         # closed form while the solution sits inside the truncation window,
         # RK on the truncated nonlinearity once it leaves it; a NaN fails
-        # both comparisons and so takes the RK branch
+        # both comparisons and so takes the RK branch, whose stages then
+        # skip the window test
         if in_window(u, M):
             return flow_double_well(u, tau)
         out, work = _workspace(u), _workspace(u)
-        return ssprk104(lambda x: truncate_double_well(x, M, out, work), u, tau, cfg)
+        return ssprk104(lambda x: truncate_double_well(x, M, out, work, test_window=False),
+                        u, tau, cfg)
 
     return b_flow
 
@@ -163,10 +165,14 @@ def _cac_b_flow(model, grid, cfg):
     M = model.M
 
     def b_flow(tau, u):
+        # the stages of a state outside the window clip without testing it
+        # (see truncate_double_well); from inside they test at every call
+        test = in_window(u, M)
         out, work = _workspace(u), _workspace(u)
 
         def rhs(x):
-            return conservative_rhs(lambda y: truncate_double_well(y, M, out, work), x, out)
+            return conservative_rhs(lambda y: truncate_double_well(y, M, out, work, test),
+                                    x, out)
 
         return ssprk104(rhs, u, tau, cfg)
 
@@ -180,8 +186,9 @@ def _fkpp_b_flow(model, grid, cfg):
     K = fkpp_constant(p, q)
 
     def b_flow(tau, u):
+        test = in_window(u, M)  # as in the cac B flow
         out, work = _workspace(u), _workspace(u)
-        return ssprk104(lambda x: truncate_fkpp(x, M, p, q, K, out, work), u, tau, cfg)
+        return ssprk104(lambda x: truncate_fkpp(x, M, p, q, K, out, work, test), u, tau, cfg)
 
     return b_flow
 

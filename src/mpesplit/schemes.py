@@ -15,14 +15,14 @@ The terms all start from the same input state and are independent of one
 another, so `apply` can run them on two threads. Each scheme compiles once
 into a `Plan`: every term's non-zero substeps with their float
 coefficients, the float weights, and a fixed split of the terms into two
-bins of about equal substep count. On a state of `TWO_THREAD_MIN_BYTES` or
-more, bin 0 runs on the calling thread and bin 1 on one persistent helper
-thread; on a smaller state every term runs on the calling thread, because
-there each NumPy call does only a few microseconds of work and handing the
-interpreter lock between the threads costs more than the second core
-gives. Either way the results are combined in term order with compensated
-summation, so a step is bit-identical to running the terms one after
-another.
+bins of about equal substep count. On a state larger than
+`SERIAL_MAX_BYTES`, bin 0 runs on the calling thread and bin 1 on one
+persistent helper thread; on a state of that size or less every term runs
+on the calling thread, because there each NumPy call does only a few
+microseconds of work and handing the interpreter lock between the threads
+costs more than the second core gives. Either way the results are combined
+in term order with compensated summation, so a step is bit-identical to
+running the terms one after another.
 
 `submit` is the one way onto the helper: `apply` hands it bin 1 and the
 combine of a large state, and `harness.run` the diagnostics row of a
@@ -240,12 +240,13 @@ def catalog_names():
     return list(_CATALOG)
 
 
-# A multi-term step runs its two bins on two threads from this state size
-# up, and on the calling thread alone below it. On 2 cores, one step of the
-# reaction and Allen-Cahn models took longer on two threads than on one at
-# 64^2 and 128^2 real states (32 and 128 KiB), and two threads broke even
-# or won from about 256 KiB up.
-TWO_THREAD_MIN_BYTES = 256 * 1024
+# A multi-term step runs on the calling thread alone on a state of up to
+# this many bytes, and its two bins on two threads above it. On 2 cores, one
+# step of the reaction and Allen-Cahn models took longer on two threads than
+# on one at 64^2 and 128^2 real states (32 and 128 KiB) and at the 2 x 128^2
+# reaction-diffusion system (256 KiB); in the quietest of three sweeps two
+# threads won on every model from 192^2 real states (288 KiB) up.
+SERIAL_MAX_BYTES = 256 * 1024
 
 _helper_lock = threading.Lock()
 _helper_pool = None
@@ -336,19 +337,19 @@ def apply(scheme: SplitScheme, flows: FlowPair, tau: float, state):
     multi-term results are combined with compensated summation because the
     weights have mixed signs (up to 390625/72576 at order 10).
 
-    On a state of `TWO_THREAD_MIN_BYTES` or more, the terms of
+    On a state larger than `SERIAL_MAX_BYTES`, the terms of
     `scheme.plan.bins[0]` run on the calling thread while those of
     `bins[1]` run on the helper thread (`submit`), so the flows must allow
     two calls at once, and must not themselves call `apply` on a multi-term
-    scheme. On a smaller state, where the hand-offs of the interpreter lock
-    between the threads cost more than the second core gives, every term
-    runs on the calling thread in term order, and so does the whole step of
-    a single-term scheme, whose bin 1 is empty. Each substep is
-    `flow(float(a) * tau, work)` as in a serial loop, and the results are
-    combined in term order, so the step is bit-identical to running the
-    terms one after another. If terms raise, the one with the lowest index
-    surfaces as a `RuntimeError` naming the term and stage, with the
-    original exception as its cause.
+    scheme. On a state of up to that size, where the hand-offs of the
+    interpreter lock between the threads cost more than the second core
+    gives, every term runs on the calling thread in term order, and so does
+    the whole step of a single-term scheme, whose bin 1 is empty. Each
+    substep is `flow(float(a) * tau, work)` as in a serial loop, and the
+    results are combined in term order, so the step is bit-identical to
+    running the terms one after another. If terms raise, the one with the
+    lowest index surfaces as a `RuntimeError` naming the term and stage,
+    with the original exception as its cause.
 
     After a two-bin step the combine also runs on the helper: each thread
     allocates from its own malloc arena, which keeps memory it has freed,
@@ -356,7 +357,7 @@ def apply(scheme: SplitScheme, flows: FlowPair, tau: float, state):
     instead of growing the calling thread's arena."""
     plan = scheme.plan
     results = [None] * len(plan.terms)
-    two_bins = bool(plan.bins[1]) and np.asarray(state).nbytes >= TWO_THREAD_MIN_BYTES
+    two_bins = bool(plan.bins[1]) and np.asarray(state).nbytes > SERIAL_MAX_BYTES
     if two_bins:
         bin1 = submit(_run_terms, plan, plan.bins[1], flows, tau, state, results)
         failures = [_run_terms(plan, plan.bins[0], flows, tau, state, results), bin1.result()]

@@ -4,16 +4,14 @@ The linear propagator with its multiplier exp(-tau*nu*lambda) built on the
 whole grid from the wavenumbers and applied through the full complex
 transform, the NLS energy with its gradient term integrated as
 -eps * conj(u) * Laplacian(u) on the grid, the inverse real transform
-of a half spectrum in one `irfftn` call, and a system's components
-propagated one call each.
+of a half spectrum in one `irfftn` call, and the propagator of one state
+in its own transform, called once per component of a system.
 """
 
 import math
 
 import numpy as np
 from scipy import fft as _fft
-
-from mpesplit.grid import linear_propagate
 
 
 def laplacian_on_grid(grid):
@@ -48,8 +46,21 @@ def inverse_real(spec, n_last):
     return _fft.irfftn(spec, s=spec.shape[:-1] + (n_last,))
 
 
-def propagate_each_component(values, nus, tau, grid, allow_backward=False):
-    """One `linear_propagate` call per component, each with its own nu,
-    stacked along the leading axis."""
-    return np.stack([linear_propagate(c, nu, tau, grid, allow_backward=allow_backward)
-                     for c, nu in zip(values, nus)])
+def propagate_one(values, nu, tau, grid):
+    """The propagator of one state in its own transform, scaled by one 1-D
+    factor per axis: `rfftn` of the whole state and one `irfftn` for a
+    real state with real nu, `fftn` and `ifftn` otherwise."""
+    nu = complex(nu)
+    real = np.isrealobj(values) and nu.imag == 0
+    c = -tau * (nu.real if real else nu)
+    spec = _fft.rfftn(values) if real else _fft.fftn(values)
+    if grid.dim == 2:
+        spec *= np.exp(c * grid._k2)[:, None]
+    spec *= np.exp(c * (grid._k2_half if real else grid._k2))
+    return _fft.irfftn(spec, s=np.shape(values)) if real else _fft.ifftn(spec)
+
+
+def propagate_each_component(values, nus, tau, grid):
+    """`propagate_one` of each component with its own nu, stacked along the
+    leading axis."""
+    return np.stack([propagate_one(c, nu, tau, grid) for c, nu in zip(values, nus)])

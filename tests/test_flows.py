@@ -16,7 +16,7 @@ from mpesplit.flows import (
     truncate_double_well,
     truncate_fkpp,
 )
-from mpesplit import models
+from mpesplit import flows, models
 from mpesplit.models import default_grid, flow_pair, initial_condition, make_model, potential
 from reference_flows import (
     conservative_rhs_mean,
@@ -437,6 +437,35 @@ class TestRhsShortcuts:
                 got = fast(u, out=out, work=work)
                 expected = ref(u)
             assert got is out and got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("M", [0.5, 6.0])
+    def test_untested_window_bytes(self, M):
+        # test_window=False always clips and adds the tails, inside the
+        # window too, with the bytes of the tail forms
+        rng = np.random.default_rng(23)
+        edge = self._edge_values(M)
+        for u in (np.concatenate([edge, rng.uniform(-M, M, 1000)]),
+                  np.concatenate([edge, [M + 1.0, -M - 0.5]])):
+            for fast, ref in self._pairs(M):
+                assert fast(u, test_window=False).tobytes() == ref(u).tobytes()
+
+    @pytest.mark.parametrize("model_id", ["ac", "cac", "fkpp"])
+    def test_b_flow_tests_window_once_outside(self, model_id, monkeypatch):
+        # a B flow whose input has left the window runs its RK stages
+        # without testing it again; from inside the window the stages test
+        m = make_model(model_id)
+        g = default_grid(m, 8)
+        u = np.full(g.shape, 0.25)
+        calls = []
+        window = flows.in_window
+        monkeypatch.setattr(flows, "in_window", lambda *args: calls.append(1) or window(*args))
+        flow_pair(m, g).b_flow(0.01, u)
+        assert bool(calls) == (model_id != "ac")  # ac's closed form needs no RK
+        u[3, 5] = m.M + 0.5  # the FKPP tails overflow from here
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = flow_pair(m, g).b_flow(0.01, u)
+            monkeypatch.setattr(flows, "in_window", lambda *args: pytest.fail("window tested"))
+            assert flow_pair(m, g).b_flow(0.01, u).tobytes() == ref.tobytes()
 
     def test_overflowing_slope_takes_the_tails(self):
         # the slopes overflow to inf, so a tail of 0 * inf is NaN

@@ -16,7 +16,12 @@ from mpesplit.grid import (
     make_grid,
     save_field,
 )
-from reference_spectral import inverse_real, propagate_each_component, propagate_full
+from reference_spectral import (
+    inverse_real,
+    propagate_each_component,
+    propagate_full,
+    propagate_one,
+)
 
 # grid sizes that appear in the model registry
 CATALOG_SIZES = [1024, 400, 256, 512]
@@ -287,10 +292,30 @@ class TestStackedComponents:
         state = rng.uniform(0.5, 2.5, (2,) + g.shape)
         before = state.copy()
         out = linear_propagate(state, nus, tau, g, allow_backward=True)
-        ref = propagate_each_component(state, nus, tau, g, allow_backward=True)
+        ref = propagate_each_component(state, nus, tau, g)
         assert out.shape == ref.shape and out.dtype == ref.dtype
         assert out[0].tobytes() == ref[0].tobytes() and out[1].tobytes() == ref[1].tobytes()
         assert np.array_equal(state, before)
+
+    @pytest.mark.parametrize("dim,n", [(1, 64), (1, 1024), (2, 16), (2, 128), (2, 1024)])
+    @pytest.mark.parametrize("complex_state,nu", [
+        (False, 0.2), (True, 0.2), (True, 0.5j), (False, 0.3 + 0.1j),
+    ])
+    def test_one_coefficient_is_one_component(self, dim, n, complex_state, nu):
+        # a scalar nu runs as a stack of one component; its bytes are those
+        # of the state in its own transform, non-finite values included
+        g = make_grid(dim, n, 2.0)
+        rng = np.random.default_rng(n)
+        u = rand_field(g, rng, complex_state)
+        bad = u.copy()
+        bad.flat[3], bad.flat[5], bad.flat[7] = np.nan, -np.nan, np.inf
+        with np.errstate(all="ignore"):
+            for state in (u, bad):
+                for tau in (1e-3, -1e-3):
+                    out = linear_propagate(state, nu, tau, g, allow_backward=True)
+                    ref = propagate_one(state, nu, tau, g)
+                    assert out.shape == ref.shape and out.dtype == ref.dtype
+                    assert out.tobytes() == ref.tobytes()
 
     def test_complex_components(self):
         g = make_grid(2, 32, 2.0)
@@ -298,8 +323,7 @@ class TestStackedComponents:
         state = rng.standard_normal((3,) + g.shape) + 1j * rng.standard_normal((3,) + g.shape)
         for nus in ((0.2, 0.5j, 0.1), (0.2, 0.3, 0.1)):
             out = linear_propagate(state, nus, -0.1, g, allow_backward=True)
-            assert out.tobytes() == propagate_each_component(
-                state, nus, -0.1, g, allow_backward=True).tobytes()
+            assert out.tobytes() == propagate_each_component(state, nus, -0.1, g).tobytes()
 
     def test_backward_and_shape_checked(self):
         g = make_grid(2, 16, 2.0)

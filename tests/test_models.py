@@ -396,7 +396,7 @@ class TestFlowPairs:
         flows = flow_pair(m, g, allow_backward=True)
         for tau in (1e-3, -1e-3):
             for s in (state, noisy):
-                ref = propagate_each_component(s, model_nu(m), tau, g, allow_backward=True)
+                ref = propagate_each_component(s, model_nu(m), tau, g)
                 out = flows.a_flow(tau, s)
                 assert out[0].tobytes() == ref[0].tobytes()
                 assert out[1].tobytes() == ref[1].tobytes()

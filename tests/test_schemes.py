@@ -285,7 +285,7 @@ class TestApply:
 
         flows = FlowPair(flaky_a, lambda tau, s: s)
         with monkeypatch.context() as two_bins:
-            two_bins.setattr(schemes, "TWO_THREAD_MIN_BYTES", 0)
+            two_bins.setattr(schemes, "SERIAL_MAX_BYTES", 0)
             with pytest.raises(RuntimeError, match="term 0 stage 2"):
                 apply(catalog("s3_2"), flows, 0.1, np.ones(3))
         assert sorted(calls) == sorted([float(F(2, 3)) * 0.1, float(F(1, 3)) * 0.1, 0.1])
@@ -371,7 +371,7 @@ class TestTwoThreadStep:
 
     @pytest.fixture(autouse=True)
     def two_bins_for_every_state(self, monkeypatch):
-        monkeypatch.setattr(schemes, "TWO_THREAD_MIN_BYTES", 0)
+        monkeypatch.setattr(schemes, "SERIAL_MAX_BYTES", 0)
 
     @pytest.mark.parametrize("model_id", model_names())
     @pytest.mark.parametrize("scheme", [catalog(n) for n in sorted(CATALOG_TABLE)]
@@ -491,31 +491,32 @@ def _no_helper(*args):
 
 
 class TestSizeChoice:
-    """A multi-term step uses the two bins from TWO_THREAD_MIN_BYTES up and
-    the calling thread alone below it; both are the serial reference byte
-    for byte."""
-
-    def test_threshold(self):
-        assert schemes.TWO_THREAD_MIN_BYTES == 256 * 1024
+    """A multi-term step uses the two bins on a state larger than
+    SERIAL_MAX_BYTES and the calling thread alone up to it; both are the
+    serial reference byte for byte."""
 
     @pytest.mark.parametrize("name", ["sws2", "s3_2", "s4_2", "s6", "s10"])
-    def test_below_never_touches_helper(self, name, monkeypatch):
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_up_to_threshold_never_touches_helper(self, name, dtype, monkeypatch):
         monkeypatch.setattr(schemes, "_helper", _no_helper)
         monkeypatch.setattr(schemes, "submit", _no_helper)
         flows = linear_flows(1.0, -0.5)
-        state = np.linspace(0.5, 1.5, schemes.TWO_THREAD_MIN_BYTES // 8 - 1)
-        out = apply(catalog(name), flows, 0.1, state)
-        assert out.tobytes() == apply_allocating(catalog(name), flows, 0.1, state).tobytes()
+        size = schemes.SERIAL_MAX_BYTES // np.dtype(dtype).itemsize
+        for state in (np.linspace(0.5, 1.5, size - 1).astype(dtype),
+                      np.linspace(0.5, 1.5, size).astype(dtype)):
+            assert state.nbytes <= schemes.SERIAL_MAX_BYTES
+            out = apply(catalog(name), flows, 0.1, state)
+            assert out.tobytes() == apply_allocating(catalog(name), flows, 0.1, state).tobytes()
 
     @pytest.mark.parametrize("dtype", [float, complex])
-    def test_at_threshold_uses_helper(self, dtype, monkeypatch):
+    def test_above_threshold_uses_helper(self, dtype, monkeypatch):
         submitted = []
         submit = schemes.submit
         monkeypatch.setattr(schemes, "submit",
                             lambda fn, *args: submitted.append(fn) or submit(fn, *args))
         flows = linear_flows(1.0, -0.5)
-        state = np.ones(schemes.TWO_THREAD_MIN_BYTES // np.dtype(dtype).itemsize, dtype)
-        assert state.nbytes == schemes.TWO_THREAD_MIN_BYTES
+        state = np.ones(schemes.SERIAL_MAX_BYTES // np.dtype(dtype).itemsize + 1, dtype)
+        assert state.nbytes > schemes.SERIAL_MAX_BYTES
         out = apply(catalog("s6"), flows, 0.1, state)
         assert submitted  # bin 1 and the combine went to the helper
         assert out.tobytes() == apply_allocating(catalog("s6"), flows, 0.1, state).tobytes()
@@ -523,8 +524,8 @@ class TestSizeChoice:
     @pytest.mark.parametrize("model_id,n,name,two_bins", [
         ("cac", 64, "s4_3", False),         # 32 KiB
         ("fkpp", 128, "s4_1", False),       # 128 KiB
-        ("rd_system", 128, "s3_1", True),   # 2 x 128 KiB, exactly the threshold
-        ("nls_linear", 128, "s6", True),    # complex, exactly the threshold
+        ("rd_system", 128, "s3_1", False),  # 2 x 128 KiB, exactly the threshold
+        ("nls_linear", 128, "s6", False),   # complex, exactly the threshold
         ("ac", 192, "s4_4", True),          # 288 KiB
     ])
     def test_model_states_bit_identical(self, model_id, n, name, two_bins, monkeypatch):
