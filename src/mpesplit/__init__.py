@@ -2,76 +2,4 @@
 evolution PDEs on periodic domains, with scheme verification tooling and a
 benchmark harness."""
 
-from .grid import (
-    Field,
-    SpectralGrid,
-    field_to_csv,
-    laplacian_symbol,
-    linear_propagate,
-    load_field,
-    make_grid,
-    save_field,
-)
-from .flows import (
-    RkConfig,
-    conservative_rhs,
-    fkpp_constant,
-    flow_double_well,
-    flow_phase,
-    flow_tanh,
-    ssprk104,
-    truncate_double_well,
-    truncate_fkpp,
-)
-from .schemes import (
-    FlowPair,
-    SplitScheme,
-    Term,
-    apply,
-    catalog,
-    catalog_names,
-    richardson_scheme,
-    richardson_weights,
-    scheme_from_json,
-    scheme_stats,
-    scheme_to_json,
-)
-from .order import (
-    ConditionReport,
-    MatrixOraclePair,
-    empirical_order,
-    expm_series,
-    make_matrix_oracle,
-    passes_order,
-    reversibility_defect,
-    verify_conditions,
-)
-from .models import (
-    ModelSpec,
-    default_grid,
-    energy,
-    exact_solution,
-    flow_pair,
-    initial_condition,
-    make_model,
-    mass,
-    max_norm,
-    model_names,
-    model_nu,
-    potential,
-)
-from .harness import (
-    ConvergenceReport,
-    RunConfig,
-    RunRecord,
-    StepController,
-    adaptive_tau,
-    convergence_study,
-    estimate_e_prime,
-    preset,
-    preset_names,
-    random_grid_study,
-    run,
-)
-
 __version__ = "0.1.0"

@@ -10,20 +10,10 @@ Lipschitz, which is what the stability bounds are stated for.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 LN2 = math.log(2.0)
-
-
-@dataclass
-class RkConfig:
-    substeps: int = 4
-
-    def __post_init__(self):
-        if self.substeps < 1:
-            raise ValueError("substeps must be >= 1")
 
 
 def flow_tanh(v, lam: float, tau: float):
@@ -46,13 +36,14 @@ def flow_tanh(v, lam: float, tau: float):
     return np.where(direct_ok, direct, np.where(t <= 30.0, via_log, asym))
 
 
-def flow_double_well(v, tau: float, bound: float | None = None):
+def flow_double_well(v, tau: float):
     """Exact flow of u' = u - u**3: exp(tau)*v / sqrt(1 + (exp(2 tau) - 1) v^2).
 
     Valid for any v when tau >= 0. For tau < 0 the denominator can vanish;
     non-finite output is left to the caller to detect (a diverged run is a
-    result, not a crash). If bound is given, inputs beyond it are rejected,
-    since there the closed form no longer matches the truncated nonlinearity.
+    result, not a crash). Outside the truncation window the closed form no
+    longer matches the truncated nonlinearity, so the caller tests the
+    window first (see `in_window`).
 
     Two arrays are allocated, the denominator and the result. The operations
     run in the order of et * v / sqrt(1 + (et * et - 1) * v * v) with
@@ -60,10 +51,6 @@ def flow_double_well(v, tau: float, bound: float | None = None):
     expression with a temporary per operation.
     """
     x = np.asarray(v, dtype=float)
-    if bound is not None:
-        mx = float(np.max(np.abs(x)))
-        if mx > bound:
-            raise ValueError(f"flow_double_well: max |v| = {mx} exceeds bound {bound}")
     et = math.exp(tau)
     den, out = np.empty_like(x), np.empty_like(x)
     with np.errstate(invalid="ignore", over="ignore"):
@@ -93,8 +80,9 @@ def flow_phase(v, omega, rho: float, tau: float):
     return rot
 
 
-def ssprk104(f, v, tau: float, cfg: RkConfig | None = None):
-    """SSP-RK(10,4) in the two-register low-storage form, cfg.substeps equal steps.
+def ssprk104(f, v, tau: float, substeps: int = 4):
+    """SSP-RK(10,4) in the two-register low-storage form, `substeps` equal
+    steps (at least 1; `models.flow_pair` checks the count a run asks for).
 
     f maps an array to an array of the same shape (systems stack components
     along axis 0). No spatial coupling is assumed beyond what f itself does.
@@ -104,13 +92,12 @@ def ssprk104(f, v, tau: float, cfg: RkConfig | None = None):
     between substeps. It never writes into what f returns, which may be f's
     input or a buffer f reuses, and it never writes into v.
     """
-    cfg = cfg or RkConfig()
     q2 = np.array(v, dtype=np.result_type(v, float))
     q1 = np.empty_like(q2)
     k = np.empty_like(q2)
-    dt = tau / cfg.substeps
+    dt = tau / substeps
     h = dt / 6.0
-    for _ in range(cfg.substeps):
+    for _ in range(substeps):
         np.copyto(q1, q2)
         for _ in range(5):
             np.multiply(f(q1), h, out=k)

@@ -27,7 +27,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import models as _models
-from .grid import Field, save_field
+from .grid import save_field
 from .schemes import apply, catalog, submit
 from .models import (
     ModelSpec,
@@ -139,7 +139,7 @@ def _setup(config: RunConfig):
 
 def run(config: RunConfig) -> RunRecord:
     model, grid, scheme, flows, state = _setup(config)
-    monitor = _models._MODELS[model.id].monitor
+    monitor = model.monitor
     adaptive = config.adaptive
     if adaptive:
         controller = StepController(config.tau_min, config.tau_max, config.alpha)
@@ -243,12 +243,10 @@ def write_record(record: RunRecord, grid, timestamp: str | None = None):
             fh.write(diagnostics_csv(record, timestamp))
     state = record.final_state
     if record.model.components == 1:
-        kind = "complex" if np.iscomplexobj(state) else "real"
-        save_field(Field(grid, state, kind), os.path.join(record.config.out_dir, "final_state"))
+        save_field(os.path.join(record.config.out_dir, "final_state"), grid, state)
     else:
         for i in range(record.model.components):
-            save_field(Field(grid, state[i], "real"),
-                       os.path.join(record.config.out_dir, f"final_state_{i}"))
+            save_field(os.path.join(record.config.out_dir, f"final_state_{i}"), grid, state[i])
 
 
 # ---------------------------------------------------------------------------

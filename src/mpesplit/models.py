@@ -6,20 +6,21 @@ propagator; the B flow is a closed form where one exists and SSP-RK(10,4)
 otherwise. Coordinates are grid nodes shifted by the model's origin, so
 centered domains like (-1, 1)^2 sample the printed formulas directly.
 
-Everything that differs between models is one record in `_MODELS`; the
-public functions below look the record up by model id.
+Everything that differs between models is one `ModelSpec` record: its
+defaults and its own functions. `_MODELS` holds one record per model,
+`make_model` returns a copy with its overrides applied, and the public
+functions below call the functions of the record they are given.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .flows import (
-    RkConfig,
     conservative_rhs,
     fkpp_constant,
     flow_double_well,
@@ -34,30 +35,20 @@ from .grid import SpectralGrid, linear_propagate, make_grid
 from .schemes import FlowPair
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelSpec:
+    """A model's defaults and its own functions. X, Y are node coordinates
+    shifted by the model's origin, as meshgrids; x, y are those of one axis.
+    `params` is a dict that belongs to this record alone (see `make_model`)."""
     id: str
     n_default: int
     length: float
     x0: float
-    scalar_kind: str
-    params: dict
-    M: float | None = None
-    components: int = 1
-
-
-@dataclass(frozen=True)
-class _Model:
-    """A model's defaults and its own functions. X, Y are node coordinates
-    shifted by the model's origin, as meshgrids; x, y are those of one axis."""
-    n: int
-    length: float
-    x0: float
-    kind: str
+    scalar_kind: str  # "real" | "complex"
     params: dict
     nu: Callable  # params -> nu, or a tuple with one nu per component
     initial: Callable  # (model, x, y) -> state, x and y the shifted nodes of each axis
-    b_flow: Callable  # (model, grid, RkConfig) -> B flow (tau, state) -> state
+    b_flow: Callable  # (model, grid, RK substeps) -> B flow (tau, state) -> state
     M: float | None = None
     components: int = 1
     energy: Callable | None = None  # (model, state, grid) -> float; NaN if absent
@@ -89,7 +80,7 @@ def _double_well_energy(model, state, grid):
     return float(gradient + grid.integrate(well))
 
 
-def _tanh_b_flow(model, grid, cfg):
+def _tanh_b_flow(model, grid, substeps):
     lam = model.params["lam"]
     return lambda tau, u: flow_tanh(u, lam, tau)
 
@@ -133,7 +124,7 @@ def _ac_initial(model, x, y):
     return u
 
 
-def _ac_b_flow(model, grid, cfg):
+def _ac_b_flow(model, grid, substeps):
     M = model.M
 
     def b_flow(tau, u):
@@ -145,7 +136,7 @@ def _ac_b_flow(model, grid, cfg):
             return flow_double_well(u, tau)
         out, work = _workspace(u), _workspace(u)
         return ssprk104(lambda x: truncate_double_well(x, M, out, work, test_window=False),
-                        u, tau, cfg)
+                        u, tau, substeps)
 
     return b_flow
 
@@ -161,7 +152,7 @@ def _cac_initial(model, X, Y):
     )
 
 
-def _cac_b_flow(model, grid, cfg):
+def _cac_b_flow(model, grid, substeps):
     M = model.M
 
     def b_flow(tau, u):
@@ -174,12 +165,12 @@ def _cac_b_flow(model, grid, cfg):
             return conservative_rhs(lambda y: truncate_double_well(y, M, out, work, test),
                                     x, out)
 
-        return ssprk104(rhs, u, tau, cfg)
+        return ssprk104(rhs, u, tau, substeps)
 
     return b_flow
 
 
-def _fkpp_b_flow(model, grid, cfg):
+def _fkpp_b_flow(model, grid, substeps):
     M = model.M
     p = model.params["p"]
     q = model.params["q"]
@@ -188,13 +179,14 @@ def _fkpp_b_flow(model, grid, cfg):
     def b_flow(tau, u):
         test = in_window(u, M)  # as in the cac B flow
         out, work = _workspace(u), _workspace(u)
-        return ssprk104(lambda x: truncate_fkpp(x, M, p, q, K, out, work, test), u, tau, cfg)
+        return ssprk104(lambda x: truncate_fkpp(x, M, p, q, K, out, work, test), u, tau,
+                        substeps)
 
     return b_flow
 
 
 def _nls_initial(model, X, Y):
-    return _MODELS[model.id].exact(0.0, X, Y)
+    return model.exact(0.0, X, Y)
 
 
 def _nls_energy(model, state, grid):
@@ -213,7 +205,7 @@ def _nls_energy(model, state, grid):
     return float(kinetic + grid.integrate(-omega * mod2 - 0.5 * rho * mod2**2))
 
 
-def _phase_b_flow(model, grid, cfg):
+def _phase_b_flow(model, grid, substeps):
     omega = potential(model, grid)
     rho = model.params["rho"]
     return lambda tau, u: flow_phase(u, omega, rho, tau)
@@ -236,7 +228,7 @@ def _rd_energy(model, state, grid):
     return float(grid.integrate(dens))
 
 
-def _reaction_b_flow(model, grid, cfg):
+def _reaction_b_flow(model, grid, substeps):
     k1p = model.params["k1_plus"]
     k1m = model.params["k1_minus"]
 
@@ -258,7 +250,7 @@ def _reaction_b_flow(model, grid, cfg):
             np.negative(f, out=buf[0])
             return buf
 
-        return ssprk104(rhs, s, tau, cfg)
+        return ssprk104(rhs, s, tau, substeps)
 
     return b_flow
 
@@ -271,51 +263,56 @@ def _rd_monitor(model, step, peak):
 
 
 # the two Schroedinger models differ only in defaults, exact solution and potential
-_NLS = dict(kind="complex", nu=lambda p: 1j * p["eps"], initial=_on_mesh(_nls_initial),
+_NLS = dict(scalar_kind="complex", nu=lambda p: 1j * p["eps"], initial=_on_mesh(_nls_initial),
             b_flow=_phase_b_flow, energy=_nls_energy,
             mass=lambda u, grid: float(grid.integrate(u.real**2 + u.imag**2)))
 
-_MODELS = {
-    "toy": _Model(
-        n=1024, length=2 * math.pi, x0=0.0, kind="real", params=dict(eps=0.1, lam=1.0),
-        nu=_eps_squared, b_flow=_tanh_b_flow,
+_MODELS = {model.id: model for model in (
+    ModelSpec(
+        "toy", n_default=1024, length=2 * math.pi, x0=0.0, scalar_kind="real",
+        params=dict(eps=0.1, lam=1.0), nu=_eps_squared, b_flow=_tanh_b_flow,
         initial=_on_mesh(lambda m, X, Y: 0.5 * np.sin(X) * np.sin(Y)),
     ),
-    "ac": _Model(
-        n=400, length=2 * math.pi, x0=0.0, kind="real", params=dict(eps=0.1), M=6.0,
+    ModelSpec(
+        "ac", n_default=400, length=2 * math.pi, x0=0.0, scalar_kind="real",
+        params=dict(eps=0.1), M=6.0,
         nu=_eps_squared, initial=_ac_initial, b_flow=_ac_b_flow, energy=_double_well_energy,
     ),
-    "cac": _Model(
-        n=256, length=2.0, x0=-1.0, kind="real", params=dict(eps=0.02), M=6.0,
+    ModelSpec(
+        "cac", n_default=256, length=2.0, x0=-1.0, scalar_kind="real",
+        params=dict(eps=0.02), M=6.0,
         nu=_eps_squared, initial=_on_mesh(_cac_initial), b_flow=_cac_b_flow,
         energy=_double_well_energy,
     ),
-    "fkpp": _Model(
-        n=512, length=1.0, x0=0.0, kind="real", params=dict(D=0.001, p=5, q=5), M=6.0,
+    ModelSpec(
+        "fkpp", n_default=512, length=1.0, x0=0.0, scalar_kind="real",
+        params=dict(D=0.001, p=5, q=5), M=6.0,
         nu=lambda p: p["D"], b_flow=_fkpp_b_flow,
         initial=_on_mesh(lambda m, X, Y: 0.45 * np.cos(2 * math.pi * X)
                          * np.cos(2 * math.pi * Y) + 0.5),
     ),
-    "nls_linear": _Model(
-        n=400, length=16 * math.pi, x0=-8 * math.pi, params=dict(eps=1.0, rho=0.0), **_NLS,
+    ModelSpec(
+        "nls_linear", n_default=400, length=16 * math.pi, x0=-8 * math.pi,
+        params=dict(eps=1.0, rho=0.0), **_NLS,
         exact=lambda t, X, Y: 1j * np.exp(1j * t) / (np.cosh(X) * np.cosh(Y)),
         potential=lambda X, Y: 3.0 - 2.0 * np.tanh(X) ** 2 - 2.0 * np.tanh(Y) ** 2,
     ),
-    "nls_nonlinear": _Model(
-        n=400, length=2 * math.pi, x0=-math.pi, params=dict(eps=0.5, rho=-1.0), **_NLS,
+    ModelSpec(
+        "nls_nonlinear", n_default=400, length=2 * math.pi, x0=-math.pi,
+        params=dict(eps=0.5, rho=-1.0), **_NLS,
         exact=lambda t, X, Y: np.sin(X) * np.sin(Y) * np.exp(-2j * t),
         # the product form; it is the one the printed exact solution solves
         potential=lambda X, Y: np.sin(X) ** 2 * np.sin(Y) ** 2 - 1.0,
     ),
-    "rd_system": _Model(
-        n=1024, length=2.0, x0=-1.0, kind="real",
+    ModelSpec(
+        "rd_system", n_default=1024, length=2.0, x0=-1.0, scalar_kind="real",
         params=dict(k1_plus=1.0, k1_minus=0.1, D_u=0.2, D_v=0.1), M=6.0, components=2,
         nu=lambda p: (p["D_u"], p["D_v"]), initial=_on_mesh(_rd_initial),
         b_flow=_reaction_b_flow,
         energy=_rd_energy, mass=lambda s, grid: float(grid.integrate(s[0] + s[1])),
         monitor=_rd_monitor,
     ),
-}
+)}
 
 _ALIASES = {"rd": "rd_system"}
 DEFAULT_MODEL = "toy"  # the model of a run configuration that names none
@@ -326,21 +323,24 @@ def model_names():
 
 
 def make_model(model_id: str, **overrides) -> ModelSpec:
+    """A copy of the model's record with overrides of `n`, `M` or any of its
+    parameters. The copy gets a dict of its own for `params`, so overrides
+    never reach the record."""
     model_id = _ALIASES.get(model_id, model_id)
     if model_id not in _MODELS:
         raise KeyError(f"unknown model {model_id!r}; known: {', '.join(_MODELS)}")
-    d = _MODELS[model_id]
-    spec = ModelSpec(model_id, d.n, d.length, d.x0, d.kind, dict(d.params), d.M, d.components)
+    record = _MODELS[model_id]
+    params, changes = dict(record.params), {}
     for key, val in overrides.items():
         if key == "n":
-            spec.n_default = int(val)
+            changes["n_default"] = int(val)
         elif key == "M":
-            spec.M = val
-        elif key in spec.params:
-            spec.params[key] = val
+            changes["M"] = val
+        elif key in params:
+            params[key] = val
         else:
             raise KeyError(f"model {model_id} has no parameter {key!r}")
-    return spec
+    return replace(record, params=params, **changes)
 
 
 def default_grid(model: ModelSpec, n: int | None = None) -> SpectralGrid:
@@ -349,7 +349,7 @@ def default_grid(model: ModelSpec, n: int | None = None) -> SpectralGrid:
 
 def model_nu(model: ModelSpec):
     """Linear coefficient(s) for the spectral propagator."""
-    return _MODELS[model.id].nu(model.params)
+    return model.nu(model.params)
 
 
 def _coords(model: ModelSpec, grid: SpectralGrid):
@@ -359,31 +359,27 @@ def _coords(model: ModelSpec, grid: SpectralGrid):
 
 def initial_condition(model: ModelSpec, grid: SpectralGrid) -> np.ndarray:
     x = grid.axis_points() + model.x0
-    return _MODELS[model.id].initial(model, x, x)
+    return model.initial(model, x, x)
 
 
 def exact_solution(model: ModelSpec, t: float, grid: SpectralGrid) -> np.ndarray:
-    exact = _MODELS[model.id].exact
-    if exact is None:
+    if model.exact is None:
         raise ValueError(f"model {model.id} has no exact solution")
-    return exact(t, *_coords(model, grid))
+    return model.exact(t, *_coords(model, grid))
 
 
 def potential(model: ModelSpec, grid: SpectralGrid) -> np.ndarray:
-    pot = _MODELS[model.id].potential
-    if pot is None:
+    if model.potential is None:
         raise ValueError(f"model {model.id} has no potential")
-    return pot(*_coords(model, grid))
+    return model.potential(*_coords(model, grid))
 
 
 def energy(model: ModelSpec, state: np.ndarray, grid: SpectralGrid) -> float:
-    fn = _MODELS[model.id].energy
-    return float("nan") if fn is None else fn(model, state, grid)
+    return float("nan") if model.energy is None else model.energy(model, state, grid)
 
 
 def mass(model: ModelSpec, state: np.ndarray, grid: SpectralGrid) -> float:
-    fn = _MODELS[model.id].mass
-    return float(grid.integrate(state)) if fn is None else fn(state, grid)
+    return float(grid.integrate(state)) if model.mass is None else model.mass(state, grid)
 
 
 def max_norm(state: np.ndarray) -> float:
@@ -398,9 +394,13 @@ def max_norm(state: np.ndarray) -> float:
 def flow_pair(model: ModelSpec, grid: SpectralGrid, rk_substeps: int = 4,
               allow_backward: bool = False) -> FlowPair:
     """The A flow propagates each component with its own nu, all components
-    in one transform; the B flow is the model's."""
+    in one transform; the B flow is the model's, with `rk_substeps` SSP-RK
+    substeps per call where it integrates. The count is checked here, at
+    set-up, for every model, whether or not its B flow runs RK."""
+    if rk_substeps < 1:
+        raise ValueError("substeps must be >= 1")
     nu = model_nu(model)
-    b_flow = _MODELS[model.id].b_flow(model, grid, RkConfig(rk_substeps))
+    b_flow = model.b_flow(model, grid, rk_substeps)
 
     def a_flow(tau, u):
         return linear_propagate(u, nu, tau, grid, allow_backward=allow_backward)

@@ -4,12 +4,12 @@ the step and before the next one starts. It writes no files."""
 
 import numpy as np
 
-from mpesplit import harness, models
+from mpesplit import harness
 
 
 def run_serial(config):
     model, grid, scheme, flows, state = harness._setup(config)
-    monitor = models._MODELS[model.id].monitor
+    monitor = model.monitor
 
     rows = [harness._diag_row(model, 0, 0.0, 0.0, state, grid)]
     if config.adaptive:

@@ -3,9 +3,10 @@
 The linear propagator with its multiplier exp(-tau*nu*lambda) built on the
 whole grid from the wavenumbers and applied through the full complex
 transform, the NLS energy with its gradient term integrated as
--eps * conj(u) * Laplacian(u) on the grid, the inverse real transform
-of a half spectrum in one `irfftn` call, and the propagator of one state
-in its own transform, called once per component of a system.
+-eps * conj(u) * Laplacian(u) on the grid, the spectral gradient through
+the full complex transform, the inverse real transform of a half spectrum
+in one `irfftn` call, and the propagator of one state in its own
+transform, called once per component of a system.
 """
 
 import math
@@ -39,6 +40,20 @@ def nls_energy_on_grid(eps, rho, omega, state, grid):
     mod2 = state.real**2 + state.imag**2
     dens = -eps * np.conj(state) * lap - omega * mod2 - 0.5 * rho * mod2**2
     return grid.h**grid.dim * dens.sum()
+
+
+def gradient(grid, values):
+    """(d/dx, d/dy) of a 2-D state by the full complex transform, each
+    axis's Nyquist mode zeroed (an odd operator on an even grid); real
+    parts for a real state."""
+    k = 2.0 * math.pi / grid.length * np.fft.fftfreq(grid.n, d=1.0 / grid.n)
+    k[grid.n // 2] = 0.0
+    spec = _fft.fftn(values)
+    out = []
+    for mult in (1j * k[:, None], 1j * k[None, :]):
+        d = _fft.ifftn(mult * spec)
+        out.append(d.real if np.isrealobj(values) else d)
+    return tuple(out)
 
 
 def inverse_real(spec, n_last):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from mpesplit import order as order_mod
-from mpesplit.flows import RkConfig, flow_double_well, flow_tanh, ssprk104
+from mpesplit.flows import flow_double_well, flow_tanh, ssprk104
 from mpesplit.harness import (
     RunConfig,
     StepController,
@@ -298,7 +298,7 @@ def test_criterion_9_oracle_equivalence():
 
     v = np.full((8, 8), 0.5)
     d_dw = float(np.max(np.abs(
-        ssprk104(lambda u: u - u ** 3, v, 0.3, RkConfig(substeps=64))
+        ssprk104(lambda u: u - u ** 3, v, 0.3, substeps=64)
         - flow_double_well(v, 0.3))))
     if not clause(lines, d_dw <= 1e-10,
                   f"criterion 9: RK vs closed double-well flow {d_dw:.2e} <= 1e-10"):
@@ -306,7 +306,7 @@ def test_criterion_9_oracle_equivalence():
 
     vt = rng.uniform(-1.0, 1.0, (8, 8))
     d_tanh = float(np.max(np.abs(
-        ssprk104(lambda u: np.tanh(u), vt, 0.5, RkConfig(substeps=64))
+        ssprk104(lambda u: np.tanh(u), vt, 0.5, substeps=64)
         - flow_tanh(vt, 1.0, 0.5))))
     if not clause(lines, d_tanh <= 1e-10,
                   f"criterion 9: RK vs closed tanh flow {d_tanh:.2e} <= 1e-10"):

@@ -359,6 +359,11 @@ class TestRuntimeErrors:
          "finite and positive"),
         (("run", "--model", "fkpp", "--nx", "16", "--tau", "-0.01", "--tfinal", "0.1"),
          "finite and positive"),
+        # toy's B flow never runs RK, and the count is still checked at set-up
+        (("run", "--model", "toy", "--nx", "16", "--tau", "0.01", "--tfinal", "0.02",
+          "--rk-substeps", "0"), "substeps must be >= 1"),
+        (("run", "--model", "fkpp", "--nx", "16", "--tau", "0.01", "--tfinal", "0.02",
+          "--rk-substeps", "0"), "substeps must be >= 1"),
     ])
     def test_reported_and_exit_2(self, capsys, argv, reason):
         code, _, err = run_cli(capsys, *argv)

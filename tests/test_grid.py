@@ -6,17 +6,15 @@ import pytest
 
 from mpesplit import harness
 from mpesplit.grid import (
-    Field,
     SpectralGrid,
     _inverse_real,
-    field_to_csv,
-    laplacian_symbol,
     linear_propagate,
     load_field,
     make_grid,
     save_field,
 )
 from reference_spectral import (
+    gradient,
     inverse_real,
     propagate_each_component,
     propagate_full,
@@ -41,20 +39,23 @@ class TestConstruction:
 
     def test_rejects_nonpositive_length(self):
         with pytest.raises(ValueError):
-            make_grid(1, 16, 0.0)
+            make_grid(2, 16, 0.0)
         with pytest.raises(ValueError):
-            make_grid(1, 16, -1.0)
+            make_grid(2, 16, -1.0)
 
     def test_rejects_bad_dim(self):
-        with pytest.raises(ValueError):
-            make_grid(3, 16, 1.0)
+        # every model lives on a square box
+        for dim in (1, 3):
+            with pytest.raises(ValueError, match="dim must be 2"):
+                make_grid(dim, 16, 1.0)
 
     def test_smallest_even_grid(self):
-        g = make_grid(1, 2, 2 * math.pi)
+        g = make_grid(2, 2, 2 * math.pi)
         lam = g.laplacian_symbols
-        assert lam[0] == 0.0
-        # the only other slot is the Nyquist mode at |p| = 1
-        assert lam[1] == pytest.approx(1.0)
+        assert lam[0, 0] == 0.0
+        # the only other slot per axis is the Nyquist mode at |p| = 1
+        assert lam[1, 0] == lam[0, 1] == pytest.approx(1.0)
+        assert lam[1, 1] == pytest.approx(2.0)
 
     def test_spacing(self):
         g = make_grid(2, 256, 2.0)
@@ -62,13 +63,16 @@ class TestConstruction:
 
 
 class TestLaplacianSymbol:
+    """`laplacian_symbols` at signed wavenumbers: the FFT order puts p and
+    p - N in the same slot, so a negative index reads its own mode."""
+
     def test_zero_mode(self):
         g = make_grid(2, 64, 2 * math.pi)
-        assert laplacian_symbol(g, (0, 0)) == 0.0
+        assert g.laplacian_symbols[0, 0] == 0.0
 
     def test_unit_mode_on_2pi(self):
         g = make_grid(2, 64, 2 * math.pi)
-        assert laplacian_symbol(g, (1, 0)) == pytest.approx(1.0)
+        assert g.laplacian_symbols[1, 0] == pytest.approx(1.0)
 
     def test_mixed_mode_on_16pi(self):
         # independent scalar evaluation of (2 p pi / L)^2 + (2 q pi / L)^2
@@ -76,18 +80,21 @@ class TestLaplacianSymbol:
         expected = (2 * 3 * math.pi / L) ** 2 + (2 * 4 * math.pi / L) ** 2
         assert expected == pytest.approx(25.0 / 64.0)
         g = make_grid(2, 128, L)
-        assert laplacian_symbol(g, (3, 4)) == pytest.approx(25.0 / 64.0, rel=1e-14)
+        assert g.laplacian_symbols[3, 4] == pytest.approx(25.0 / 64.0, rel=1e-14)
 
     def test_negative_indices(self):
         g = make_grid(2, 64, 2 * math.pi)
-        assert laplacian_symbol(g, (-3, 2)) == pytest.approx(13.0)
+        assert g.laplacian_symbols[-3, 2] == pytest.approx(13.0)
+        # the Nyquist slot holds -N/2
+        assert g.laplacian_symbols[-32, 0] == g.laplacian_symbols[32, 0] == pytest.approx(1024.0)
 
     def test_out_of_range(self):
         g = make_grid(2, 64, 2 * math.pi)
-        with pytest.raises((IndexError, ValueError)):
-            laplacian_symbol(g, (64, 0))
-        with pytest.raises((IndexError, ValueError)):
-            laplacian_symbol(g, (0, -33))
+        assert g.laplacian_symbols.shape == (64, 64)
+        with pytest.raises(IndexError):
+            g.laplacian_symbols[64, 0]
+        with pytest.raises(IndexError):
+            g.laplacian_symbols[0, -65]
 
 
 class TestTransforms:
@@ -96,14 +103,14 @@ class TestTransforms:
         g = make_grid(2, n, 2 * math.pi)
         rng = np.random.default_rng(1)
         u = rand_field(g, rng)
-        back = g.inverse(g.forward(u)).real
+        back = np.fft.ifftn(g.forward(u)).real
         assert np.max(np.abs(back - u)) <= 1e-12 * np.max(np.abs(u))
 
     def test_roundtrip_complex(self):
         g = make_grid(2, 256, 2.0)
         rng = np.random.default_rng(2)
         u = rand_field(g, rng, complex_=True)
-        back = g.inverse(g.forward(u))
+        back = np.fft.ifftn(g.forward(u))
         assert np.max(np.abs(back - u)) <= 1e-12 * np.max(np.abs(u))
 
     def test_integrate_constant(self):
@@ -113,7 +120,7 @@ class TestTransforms:
     def test_gradient_of_sine(self):
         g = make_grid(2, 64, 2 * math.pi)
         X, Y = g.nodes()
-        gx, gy = g.gradient(np.sin(X))
+        gx, gy = gradient(g, np.sin(X))
         assert np.max(np.abs(gx - np.cos(X))) < 1e-12
         assert np.max(np.abs(gy)) < 1e-12
 
@@ -126,10 +133,10 @@ class TestPropagate:
         assert np.max(np.abs(out - 1.7)) < 1e-13
 
     def test_single_mode_heat_decay(self):
-        g = make_grid(1, 64, 2 * math.pi)
-        x = g.axis_points()
-        out = linear_propagate(np.sin(x), 1.0, 0.5, grid=g)
-        assert np.max(np.abs(out - math.exp(-0.5) * np.sin(x))) < 1e-13
+        g = make_grid(2, 64, 2 * math.pi)
+        X, _ = g.nodes()
+        out = linear_propagate(np.sin(X), 1.0, 0.5, grid=g)
+        assert np.max(np.abs(out - math.exp(-0.5) * np.sin(X))) < 1e-13
 
     def test_imaginary_nu_preserves_mode_magnitudes(self):
         g = make_grid(2, 64, 2 * math.pi)
@@ -166,8 +173,8 @@ class TestPropagate:
         )
 
     def test_backward_rejected_for_dissipative_nu(self):
-        g = make_grid(1, 16, 2 * math.pi)
-        u = np.sin(g.axis_points())
+        g = make_grid(2, 16, 2 * math.pi)
+        u = np.sin(g.nodes()[0])
         with pytest.raises(ValueError):
             linear_propagate(u, 1.0, -0.1, grid=g)
         # explicitly allowed for the backward-substep schemes
@@ -175,18 +182,19 @@ class TestPropagate:
         assert np.max(np.abs(out)) > np.max(np.abs(u))
 
     def test_backward_fine_for_unitary_nu(self):
-        g = make_grid(1, 16, 2 * math.pi)
-        u = np.sin(g.axis_points()) + 0j
+        g = make_grid(2, 16, 2 * math.pi)
+        u = np.sin(g.nodes()[0]) + 0j
         out = linear_propagate(u, 1j, -0.1, grid=g)
         assert np.max(np.abs(out)) == pytest.approx(np.max(np.abs(u)), rel=1e-12)
 
     def test_field_wrapper_and_grid_mismatch(self):
-        g = make_grid(1, 16, 2 * math.pi)
-        other = make_grid(1, 32, 2 * math.pi)
+        g = make_grid(2, 16, 2 * math.pi)
+        other = make_grid(2, 32, 2 * math.pi)
         with pytest.raises(ValueError):
             linear_propagate(np.zeros(other.shape), 1.0, 0.1, grid=g)
-        # shapes that broadcast against the 1-D symbol are rejected too
-        for state in (np.zeros((16, 16)), np.zeros((16, 16), dtype=complex)):
+        # shapes that broadcast against the grid's factors are rejected too
+        for state in (np.zeros(16), np.zeros((1, 16, 16)), np.zeros(16, dtype=complex),
+                      np.zeros((1, 16, 16), dtype=complex)):
             with pytest.raises(ValueError, match="shape"):
                 linear_propagate(state, 1.0, 0.1, grid=g)
             with pytest.raises(ValueError, match="shape"):
@@ -196,7 +204,7 @@ class TestPropagate:
 class TestHalfSpectrum:
     """The real-state fast paths against the full complex transform."""
 
-    @pytest.mark.parametrize("dim,n", [(1, 2), (1, 64), (1, 400), (2, 2), (2, 48), (2, 256)])
+    @pytest.mark.parametrize("dim,n", [(2, 2), (2, 48), (2, 256)])
     @pytest.mark.parametrize("direction", [1.0, -1.0])
     def test_propagator_matches_complex_path(self, dim, n, direction):
         g = make_grid(dim, n, 2.0)
@@ -211,13 +219,13 @@ class TestHalfSpectrum:
             assert fast.dtype == np.float64 and fast.shape == u.shape
             assert np.max(np.abs(fast - ref)) <= 1e-12 * np.max(np.abs(u))
 
-    @pytest.mark.parametrize("dim,n", [(1, 4), (1, 64), (2, 4), (2, 48), (2, 256)])
+    @pytest.mark.parametrize("dim,n", [(2, 4), (2, 48), (2, 256)])
     def test_grad_sq_integral_matches_gradient(self, dim, n):
         g = make_grid(dim, n, 2.0)
         rng = np.random.default_rng(9)
         for _ in range(3):
             u = rand_field(g, rng)
-            ref = g.integrate(sum(d**2 for d in g.gradient(u)))
+            ref = g.integrate(sum(d**2 for d in gradient(g, u)))
             assert g.grad_sq_integral(u) == pytest.approx(ref, rel=1e-12)
 
     def test_grad_sq_integral_keeps_nyquist_zeroed(self):
@@ -229,7 +237,7 @@ class TestHalfSpectrum:
         # where cos(8y) is +-1 on the nodes
         u = np.cos(X) * np.cos(8 * Y)
         assert g.grad_sq_integral(u) == pytest.approx(2 * math.pi**2, rel=1e-13)
-        gx, gy = g.gradient(u)
+        gx, gy = gradient(g, u)
         assert g.integrate(gx**2 + gy**2) == pytest.approx(2 * math.pi**2, rel=1e-13)
 
 
@@ -237,7 +245,7 @@ class TestSeparableMultiplier:
     """The propagator's axis-by-axis, in-place multiplier against the
     multiplier built on the whole grid and the full complex transform."""
 
-    @pytest.mark.parametrize("dim,n", [(1, 2), (1, 64), (2, 2), (2, 48), (2, 256)])
+    @pytest.mark.parametrize("dim,n", [(2, 2), (2, 48), (2, 256)])
     @pytest.mark.parametrize("complex_state,nu", [
         (False, 0.04), (True, 0.04), (True, 0.5j), (False, 0.5j), (False, 0.04 + 0.5j),
     ])
@@ -263,8 +271,7 @@ class TestInverseReal:
     """The propagator's axis-by-axis inverse real transform against one
     `irfftn` call, byte for byte."""
 
-    @pytest.mark.parametrize("dim,n", [(1, 2), (1, 400), (2, 2), (2, 6), (2, 48),
-                                       (2, 250), (2, 400), (2, 1024)])
+    @pytest.mark.parametrize("dim,n", [(2, 2), (2, 6), (2, 48), (2, 250), (2, 400), (2, 1024)])
     def test_bit_identical_to_irfftn(self, dim, n):
         rng = np.random.default_rng(n)
         shape = (n,) * (dim - 1) + (n // 2 + 1,)
@@ -272,7 +279,7 @@ class TestInverseReal:
         spec.flat[1] = np.nan
         spec.flat[-1] = np.inf
         ref = inverse_real(spec, n)
-        out = _inverse_real(spec.copy(), n, dim)
+        out = _inverse_real(spec.copy(), n)
         assert out.shape == ref.shape and out.dtype == ref.dtype
         assert out.tobytes() == ref.tobytes()
 
@@ -283,7 +290,7 @@ class TestStackedComponents:
 
     # the backward step grows the stiffest mode by at most e^65, so every
     # value stays finite; NaN and inf carry no byte-level promise
-    @pytest.mark.parametrize("dim,n", [(1, 64), (2, 16), (2, 64), (2, 128), (2, 256)])
+    @pytest.mark.parametrize("dim,n", [(2, 16), (2, 64), (2, 128), (2, 256)])
     @pytest.mark.parametrize("tau", [1e-3, -1e-3])
     def test_bit_identical_to_one_call_each(self, dim, n, tau):
         g = make_grid(dim, n, 2.0)
@@ -297,7 +304,7 @@ class TestStackedComponents:
         assert out[0].tobytes() == ref[0].tobytes() and out[1].tobytes() == ref[1].tobytes()
         assert np.array_equal(state, before)
 
-    @pytest.mark.parametrize("dim,n", [(1, 64), (1, 1024), (2, 16), (2, 128), (2, 1024)])
+    @pytest.mark.parametrize("dim,n", [(2, 16), (2, 128), (2, 1024)])
     @pytest.mark.parametrize("complex_state,nu", [
         (False, 0.2), (True, 0.2), (True, 0.5j), (False, 0.3 + 0.1j),
     ])
@@ -337,12 +344,12 @@ class TestStackedComponents:
 
 
 class TestLaplacianSymbols:
-    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("dim", [2])
     def test_built_on_first_use(self, dim):
         g = make_grid(dim, 16, 2 * math.pi)
         assert "laplacian_symbols" not in vars(g)
         lam = g.laplacian_symbols
-        expected = g._k2 if dim == 1 else g._k2[:, None] + g._k2[None, :]
+        expected = g._k2[:, None] + g._k2[None, :]
         assert lam.shape == g.shape and np.array_equal(lam, expected)
         assert g.laplacian_symbols is lam
 
@@ -357,68 +364,81 @@ class TestLaplacianSymbols:
         assert built
 
 
-class TestFieldType:
-    def test_shape_validation(self):
-        g = make_grid(2, 16, 1.0)
-        with pytest.raises(ValueError):
-            Field(g, np.zeros((16, 8)), "real")
-
-    def test_kind_validation(self):
-        g = make_grid(1, 16, 1.0)
-        with pytest.raises(ValueError):
-            Field(g, np.zeros(16), "quaternion")
-
-
 class TestSerialization:
+    """State files: written from a bare array, the kind taken from its dtype,
+    and read back as (grid, values), bit for bit."""
+
+    SPECIAL = [-0.0, np.nan, np.inf, -np.inf]
+
     def test_roundtrip_real(self, tmp_path):
         g = make_grid(2, 16, 2.0)
         rng = np.random.default_rng(6)
-        f = Field(g, rng.standard_normal(g.shape), "real")
+        v = rng.standard_normal(g.shape)
+        v.flat[:4] = self.SPECIAL
         base = str(tmp_path / "state")
-        save_field(f, base)
-        back = load_field(base)
-        assert back.grid == g
-        assert back.scalar_kind == "real"
-        assert np.array_equal(back.values, f.values)
+        save_field(base, g, v)
+        back_grid, back = load_field(base)
+        assert back_grid == g
+        assert back.dtype == np.float64 and back.shape == g.shape
+        assert back.tobytes() == v.tobytes()
+        assert json.loads((tmp_path / "state.json").read_text())["scalar_kind"] == "real"
 
     def test_roundtrip_complex(self, tmp_path):
-        g = make_grid(1, 32, 6.0)
+        g = make_grid(2, 32, 6.0)
         rng = np.random.default_rng(7)
-        v = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        f = Field(g, v, "complex")
+        v = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+        # signed zeros, NaN and infinities in both parts, each also beside
+        # a finite value in the other part
+        v.real.flat[:4] = self.SPECIAL
+        v.imag.flat[2:6] = self.SPECIAL
         base = str(tmp_path / "state")
-        save_field(f, base)
-        back = load_field(base)
-        assert np.array_equal(back.values, v)
+        save_field(base, g, v)
+        back_grid, back = load_field(base)
+        assert back_grid == g
+        assert back.dtype == np.complex128 and back.shape == g.shape
+        assert back.tobytes() == v.tobytes()
+        assert json.loads((tmp_path / "state.json").read_text())["scalar_kind"] == "complex"
 
     def test_sidecar_contents(self, tmp_path):
         g = make_grid(2, 16, 2.0)
-        f = Field(g, np.zeros(g.shape), "real")
         base = str(tmp_path / "state")
-        save_field(f, base)
+        save_field(base, g, np.zeros(g.shape))
         doc = json.loads((tmp_path / "state.json").read_text())
         assert doc == {"dim": 2, "n": 16, "length": 2.0, "scalar_kind": "real"}
 
     def test_binary_is_little_endian_f64(self, tmp_path):
-        g = make_grid(1, 4, 1.0)
-        vals = np.array([1.0, -2.0, 3.5, 0.25])
-        save_field(Field(g, vals, "real"), str(tmp_path / "s"))
+        g = make_grid(2, 2, 1.0)
+        vals = np.array([[1.0, -2.0], [3.5, 0.25]])
+        save_field(str(tmp_path / "s"), g, vals)
         raw = np.frombuffer((tmp_path / "s.bin").read_bytes(), dtype="<f8")
-        assert np.array_equal(raw, vals)
+        assert np.array_equal(raw, vals.ravel())
+        save_field(str(tmp_path / "c"), g, vals * (1 + 2j))
+        raw = np.frombuffer((tmp_path / "c.bin").read_bytes(), dtype="<f8")
+        assert np.array_equal(raw[0::2], vals.ravel()) and np.array_equal(raw[1::2], 2 * vals.ravel())
 
-    def test_csv_real_2d(self, tmp_path):
-        g = make_grid(2, 4, 2.0)
-        f = Field(g, np.arange(16.0).reshape(4, 4), "real")
-        path = tmp_path / "f.csv"
-        field_to_csv(f, str(path))
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "x,y,value"
-        assert len(lines) == 1 + 16
+    @pytest.mark.parametrize("change,match", [
+        (dict(dim=1), "dim must be 2"),
+        (dict(scalar_kind="quaternion"), "scalar_kind"),
+        (dict(scalar_kind="complex"), "expected 4096"),
+        (dict(n=8), "expected 512"),
+    ])
+    def test_load_rejects_bad_sidecar(self, tmp_path, change, match):
+        g = make_grid(2, 16, 2.0)
+        base = str(tmp_path / "state")
+        save_field(base, g, np.zeros(g.shape))
+        doc = json.loads((tmp_path / "state.json").read_text())
+        (tmp_path / "state.json").write_text(json.dumps({**doc, **change}))
+        with pytest.raises(ValueError, match=match):
+            load_field(base)
 
-    def test_csv_complex_1d(self, tmp_path):
-        g = make_grid(1, 4, 2.0)
-        f = Field(g, np.arange(4) * (1 + 1j), "complex")
-        path = tmp_path / "f.csv"
-        field_to_csv(f, str(path))
-        header = path.read_text().splitlines()[0]
-        assert header == "x,value_re,value_im"
+    @pytest.mark.parametrize("complex_state", [False, True])
+    def test_load_rejects_wrong_length(self, tmp_path, complex_state):
+        g = make_grid(2, 16, 2.0)
+        base = str(tmp_path / "state")
+        save_field(base, g, np.zeros(g.shape, dtype=complex if complex_state else float))
+        raw = (tmp_path / "state.bin").read_bytes()
+        # whole values missing or extra, and a partial one
+        for cut in (raw[:-8], raw + raw[:8], b"", raw[:-1], raw + b"\0"):
+            (tmp_path / "state.bin").write_bytes(cut)
+            with pytest.raises(ValueError, match="bytes, expected"):
+                load_field(base)

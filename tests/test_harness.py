@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpesplit import harness, schemes
+from mpesplit import harness, models, schemes
+from mpesplit.grid import load_field
 from mpesplit.harness import (
     ConvergenceReport,
     RunConfig,
@@ -274,6 +275,28 @@ class TestPipelinedRun:
         assert threads["rows"] == {schemes.submit(threading.current_thread).result()}
 
 
+class TestBenchmarkHooks:
+    """perfbench/tracing.py wraps these names where the package looks them up
+    and skips a hook whose target is gone, so a refactor that drops one
+    shows up there only as a metric reported unmeasured."""
+
+    def test_hook_targets_exist(self):
+        for owner, name in [(harness, "apply"), (harness, "flow_pair"), (harness, "energy"),
+                            (harness, "mass"), (harness, "max_norm"), (models, "ssprk104")]:
+            assert callable(getattr(owner, name, None)), f"{owner.__name__}.{name}"
+
+    def test_energy_looked_up_in_harness(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0].id)
+            return models.energy(*args)
+
+        monkeypatch.setattr(harness, "energy", counted)
+        rec = run(RunConfig(model="ac", scheme="strang_a", nx=16, tau=0.1, t_final=0.2))
+        assert calls == ["ac"] * 3 and len(rec.rows) == 3
+
+
 class TestSerialization:
     def test_csv_schema(self):
         rec = run(RunConfig(model="toy", scheme="lie1", nx=32, tau=0.05, t_final=0.2))
@@ -306,11 +329,13 @@ class TestSerialization:
 
     def test_write_record_csv_and_field(self, tmp_path):
         out = str(tmp_path / "runA")
-        run(RunConfig(model="toy", scheme="lie1", nx=32, tau=0.1, t_final=0.2,
-                      out_dir=out))
+        rec = run(RunConfig(model="toy", scheme="lie1", nx=32, tau=0.1, t_final=0.2,
+                            out_dir=out))
         assert os.path.exists(os.path.join(out, "diagnostics.csv"))
         assert os.path.exists(os.path.join(out, "final_state.bin"))
         assert os.path.exists(os.path.join(out, "final_state.json"))
+        grid, state = load_field(os.path.join(out, "final_state"))
+        assert grid.shape == (32, 32) and state.tobytes() == rec.final_state.tobytes()
 
     def test_write_record_json_format(self, tmp_path):
         out = str(tmp_path / "runB")
@@ -320,10 +345,14 @@ class TestSerialization:
 
     def test_write_record_two_components(self, tmp_path):
         out = str(tmp_path / "runC")
-        run(RunConfig(model="rd_system", scheme="lie1", nx=32, tau=0.01,
-                      t_final=0.02, out_dir=out))
+        rec = run(RunConfig(model="rd_system", scheme="lie1", nx=32, tau=0.01,
+                            t_final=0.02, out_dir=out))
         assert os.path.exists(os.path.join(out, "final_state_0.bin"))
         assert os.path.exists(os.path.join(out, "final_state_1.bin"))
+        for i in range(2):
+            grid, component = load_field(os.path.join(out, f"final_state_{i}"))
+            assert grid.shape == (32, 32) and component.dtype == np.float64
+            assert component.tobytes() == rec.final_state[i].tobytes()
 
 
 class TestConvergence:
