@@ -69,7 +69,7 @@ def _run_config_from_args(args, base: harness.RunConfig) -> harness.RunConfig:
 
 def _run_and_emit(cfg: harness.RunConfig) -> int:
     """Run; with an out_dir the run writes its files, else the diagnostics
-    go to stdout. Exit status 3 when the run diverged."""
+    go to stdout. Exit status 3 when the run diverged or its monitor stopped it."""
     record = harness.run(cfg)
     if cfg.out_dir:
         print(f"wrote {cfg.out_dir} (status: {record.status})")
@@ -102,7 +102,7 @@ def _cmd_converge(args) -> int:
     else:
         ref = harness.run(replace(cfg, scheme=args.ref_scheme, tau=args.ref_tau, out_dir=None))
         if ref.status != "ok":
-            raise FloatingPointError(f"reference run diverged at step {ref.diverged_step}")
+            raise FloatingPointError(f"reference run {ref.reason}")
         reference = ref.final_state
     if args.taus:
         study, ladder = harness.convergence_study, args.taus
@@ -243,7 +243,7 @@ def main(argv=None) -> int:
     except (KeyError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FloatingPointError as exc:  # a study diverged; run() records it instead
+    except FloatingPointError as exc:  # a study or its reference run stopped; run() records it
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

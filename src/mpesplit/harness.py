@@ -1,19 +1,24 @@
 """Time-stepping driver, adaptive step controller, convergence studies, and
 the named experiment presets.
 
-A run is a loop of scheme steps with diagnostics sampled along the way.
-The steps follow one another; within a step, `schemes.apply` runs the terms
-of a multi-term scheme on two threads. The diagnostics of a step (its row,
-or only its max norm for the monitor) run on the same helper thread
-(`schemes.submit`) while the next step runs on the caller, and are
-collected when that step returns or raises, before anything that could
-observe them: the row is appended, the monitor runs, and only then is the
-new state checked. An adaptive run collects each row at once, because the
-controller needs its energy before it picks the next step size. Either way
-the rows, the final state and the errors raised are those of a serial loop.
-Divergence (NaN or Inf anywhere in the state) stops the run and marks the
-record; for the negative-coefficient scheme that outcome is the
-experiment, so it is recorded rather than raised.
+A run is one loop of scheme steps with diagnostics rows sampled along the
+way. The steps follow one another; within a step, `schemes.apply` runs the
+terms of a multi-term scheme on two threads. A row is handed to the same
+helper thread (`schemes.submit`) and computed while the next step runs on
+the caller; before the next row is handed over, the loop waits for this
+one, so at most one row is in flight. An adaptive run waits for each row at
+once, because the controller needs its energy before it picks the next step
+size. Rows and final states are those of a serial loop; an error raised by
+a row surfaces at the next wait, so it can come after an error of the step
+that followed it.
+
+A run ends with a status and a reason. Divergence (NaN or Inf anywhere in
+the state) stops it as "diverged"; for the negative-coefficient scheme that
+outcome is the experiment. A model's monitor (the max-norm bound of
+`rd_system`) looks at each new state on the calling thread and stops the
+run as "monitor" when it returns a reason. Either way the record keeps the
+rows and the state of the step it stopped at, and with an out_dir they are
+written like those of a run that ended "ok".
 """
 
 from __future__ import annotations
@@ -98,8 +103,9 @@ class RunRecord:
     model: ModelSpec
     rows: list  # (step, t, tau, energy, mass, max_norm)
     final_state: np.ndarray
-    status: str = "ok"  # "ok" | "diverged"
-    diverged_step: int | None = None
+    status: str = "ok"  # "ok" | "diverged" | "monitor"
+    diverged_step: int | None = None  # the step a run that is not ok stopped at
+    reason: str = ""  # why a run that is not ok stopped
 
     @property
     def times(self):
@@ -108,15 +114,6 @@ class RunRecord:
 
 def _diag_row(model, step, t, tau, state, grid):
     return (step, t, tau, energy(model, state, grid), mass(model, state, grid), max_norm(state))
-
-
-def _diagnostics(model, step, t, tau, state, grid, need_row):
-    """(row, max norm) of a finished step; the row is None when none is
-    needed, and the max norm is then taken alone, for the monitor."""
-    if need_row:
-        row = _diag_row(model, step, t, tau, state, grid)
-        return row, row[5]
-    return None, max_norm(state)
 
 
 def checked_scheme(config: RunConfig):
@@ -130,6 +127,8 @@ def checked_scheme(config: RunConfig):
 
 def _setup(config: RunConfig):
     """(model, grid, scheme, flows, u0) of a run or a study."""
+    if not (math.isfinite(config.t_final) and config.t_final >= 0):
+        raise ValueError(f"final time must be finite and >= 0, got {config.t_final}")
     model = make_model(config.model, **config.overrides)
     grid = default_grid(model, config.nx)
     scheme = checked_scheme(config)
@@ -139,66 +138,49 @@ def _setup(config: RunConfig):
 
 def run(config: RunConfig) -> RunRecord:
     model, grid, scheme, flows, state = _setup(config)
-    monitor = model.monitor
     adaptive = config.adaptive
     if adaptive:
         controller = StepController(config.tau_min, config.tau_max, config.alpha)
-    rows = []
-
-    def observe(step, t, tau, state, keep_row):
-        """Hand step's diagnostics to the helper. Returns what `collect`
-        takes, or None when nothing is left to collect."""
-        need_row = keep_row or adaptive
-        if not (need_row or (monitor is not None and step)):
-            return None
-        future = submit(_diagnostics, model, step, t, tau, state, grid, need_row)
-        pending = future, step, t, keep_row
-        if adaptive:  # the controller needs the energy before it picks tau
-            collect(pending)
-            return None
-        return pending
-
-    def collect(pending):
-        """Wait for a step's diagnostics and do what the serial loop did
-        with them right after that step."""
-        if pending is None:
-            return
-        future, step, t, keep_row = pending
-        row, peak = future.result()
-        if adaptive:
-            controller.record(t, row[3])
-        if keep_row:
-            rows.append(row)
-        if monitor is not None and step:
-            monitor(model, step, peak)
-
-    status, diverged_step = "ok", None
-    t, step = 0.0, 0
     t_end = config.t_final
     fixed_steps = None if adaptive else _steps_for(config.tau, t_end)
-    pending = observe(0, 0.0, 0.0, state, True)
-    while t < t_end - 1e-14:
+    rows, in_flight = [], None  # the future of the last kept row, not yet in rows
+    status, stop_step, reason = "ok", None, ""
+    t, tau, step = 0.0, 0.0, 0
+    while True:
+        last = t >= t_end - 1e-14
+        keep = step % config.diagnostics_every == 0 or last
+        if keep or adaptive:
+            if in_flight is not None:
+                rows.append(in_flight.result())
+            in_flight = submit(_diag_row, model, step, t, tau, state, grid)
+            if adaptive:  # the controller needs the energy before it picks tau
+                controller.record(t, in_flight.result()[3])
+                if not keep:
+                    in_flight = None
+        if step and model.monitor is not None:  # the state of each step, on the caller
+            reason = model.monitor(model, step, max_norm(state)) or ""
+            if reason:
+                status, stop_step = "monitor", step
+                break
+        if last:
+            break
         if adaptive:
             tau = adaptive_tau(controller, estimate_e_prime(controller.history))
             tau = min(tau, t_end - t)  # shortened final step, recorded as taken
         else:
             tau = fixed_steps[step]
-        try:
-            state = apply(scheme, flows, tau, state)
-        finally:  # the previous step's diagnostics come first, errors included
-            collect(pending)
-        pending = None
+        state = apply(scheme, flows, tau, state)
         step += 1
         t = t_end if (fixed_steps and step == len(fixed_steps)) else t + tau
         if not np.all(np.isfinite(state)):
-            status, diverged_step = "diverged", step
-            rows.append((step, t, tau, float("nan"), float("nan"), float("nan")))
+            status, stop_step, reason = "diverged", step, f"diverged at step {step}"
             break
-        last = t >= t_end - 1e-14
-        pending = observe(step, t, tau, state, step % config.diagnostics_every == 0 or last)
-    collect(pending)
+    if in_flight is not None:
+        rows.append(in_flight.result())
+    if status == "diverged":
+        rows.append((step, t, tau, float("nan"), float("nan"), float("nan")))
 
-    record = RunRecord(config, model, rows, state, status, diverged_step)
+    record = RunRecord(config, model, rows, state, status, stop_step, reason)
     if config.out_dir:
         write_record(record, grid, timestamp=datetime.now(timezone.utc).isoformat())
     return record
@@ -215,8 +197,8 @@ def diagnostics_csv(record: RunRecord, timestamp: str | None = None) -> str:
     lines.append("step,t,tau,energy,mass,max_norm")
     for step, t, tau, e, m, mx in record.rows:
         lines.append(f"{step},{_fmt(t)},{_fmt(tau)},{_fmt(e)},{_fmt(m)},{_fmt(mx)}")
-    if record.status == "diverged":
-        lines.append(f"# diverged at step {record.diverged_step}")
+    if record.status != "ok":
+        lines.append(f"# {record.reason}")
     return "\n".join(lines) + "\n"
 
 
@@ -257,31 +239,33 @@ class ConvergenceReport:
     taus: list
     errors_inf: list
     rates: list  # rates[i] = log(e_i/e_{i+1}) / log(tau_i/tau_{i+1})
-    errors_l2: list | None = None
+    errors_l2: list = field(default_factory=list)
 
     def recompute_rates(self):
+        """The rate of each pair of neighbouring rungs; NaN where the two
+        errors are not both positive, as when the flows commute."""
         out = []
         for i in range(len(self.taus) - 1):
-            out.append(
-                math.log(self.errors_inf[i] / self.errors_inf[i + 1])
-                / math.log(self.taus[i] / self.taus[i + 1])
-            )
+            e0, e1 = self.errors_inf[i], self.errors_inf[i + 1]
+            out.append(math.log(e0 / e1) / math.log(self.taus[i] / self.taus[i + 1])
+                       if e0 > 0 and e1 > 0 else math.nan)
         return out
 
 
 def _steps_for(tau, t_final):
     """Steps of size tau covering [0, t_final], the last one shortened when
-    tau does not divide t_final; tau must be finite and positive."""
+    tau does not divide t_final, and none when t_final is 0; tau must be
+    finite and positive."""
     if not (math.isfinite(tau) and tau > 0):
         raise ValueError(f"step size tau must be finite and positive, got {tau}")
     n = round(t_final / tau)
-    if abs(n * tau - t_final) < 1e-12 * t_final:
+    if abs(n * tau - t_final) <= 1e-12 * t_final:
         return [tau] * int(n)
     n = int(math.floor(t_final / tau))
     return [tau] * n + [t_final - n * tau]
 
 
-def _study(config: RunConfig, taus, step_lists, reference, with_l2) -> ConvergenceReport:
+def _study(config: RunConfig, taus, step_lists, reference) -> ConvergenceReport:
     """Errors of runs over each step list against the reference; the report
     lists them against taus."""
     model, grid, scheme, flows, u0 = _setup(config)
@@ -305,14 +289,14 @@ def _study(config: RunConfig, taus, step_lists, reference, with_l2) -> Convergen
         diff = np.abs(state - ref_state)
         errors_inf.append(float(diff.max()))
         errors_l2.append(float(math.sqrt(grid.h**grid.dim * float((diff**2).sum()))))
-    report = ConvergenceReport(taus, errors_inf, [], errors_l2 if with_l2 else None)
+    report = ConvergenceReport(taus, errors_inf, [], errors_l2)
     report.rates = report.recompute_rates()
     return report
 
 
 def convergence_study(model_id: str, scheme_name: str, tau_ladder, reference,
                       t_final: float, nx: int | None = None, rk_substeps: int = 4,
-                      overrides: dict | None = None, with_l2: bool = False,
+                      overrides: dict | None = None,
                       allow_backward: bool = False) -> ConvergenceReport:
     """Error ladder at fixed t_final against a reference.
 
@@ -322,7 +306,8 @@ def convergence_study(model_id: str, scheme_name: str, tau_ladder, reference,
     config = RunConfig(model_id, scheme_name, nx, t_final=t_final, rk_substeps=rk_substeps,
                        overrides=overrides or {}, allow_backward=allow_backward)
     taus = [float(t) for t in tau_ladder]
-    return _study(config, taus, [_steps_for(tau, t_final) for tau in taus], reference, with_l2)
+    # a generator, so that _study checks t_final before any step list is made
+    return _study(config, taus, (_steps_for(tau, t_final) for tau in taus), reference)
 
 
 def random_subdivisions(t_final: float, n: int, rng) -> list:
@@ -340,14 +325,14 @@ def random_subdivisions(t_final: float, n: int, rng) -> list:
 def random_grid_study(model_id: str, scheme_name: str, n_ladder, reference,
                       t_final: float, nx: int | None = None, seed: int = 0,
                       rk_substeps: int = 4, overrides: dict | None = None,
-                      with_l2: bool = False, allow_backward: bool = False) -> ConvergenceReport:
+                      allow_backward: bool = False) -> ConvergenceReport:
     """Convergence on random time grids; tau(N) is the largest subinterval.
     reference is as for convergence_study."""
     config = RunConfig(model_id, scheme_name, nx, t_final=t_final, rk_substeps=rk_substeps,
                        overrides=overrides or {}, allow_backward=allow_backward)
     rng = np.random.default_rng(seed)
     step_lists = [random_subdivisions(t_final, int(n), rng) for n in n_ladder]
-    return _study(config, [max(steps) for steps in step_lists], step_lists, reference, with_l2)
+    return _study(config, [max(steps) for steps in step_lists], step_lists, reference)
 
 
 def convergence_csv(report: ConvergenceReport) -> str:

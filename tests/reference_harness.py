@@ -1,6 +1,7 @@
 """Reference time loop, for differential tests: `harness.run` as a serial
 loop, each step's diagnostics computed on the calling thread right after
-the step and before the next one starts. It writes no files."""
+the step and before the next one starts, and a monitor that returns a
+reason stopping the run before the next step. It writes no files."""
 
 import numpy as np
 
@@ -16,7 +17,7 @@ def run_serial(config):
         controller = harness.StepController(config.tau_min, config.tau_max, config.alpha)
         controller.record(0.0, rows[0][3])
 
-    status, diverged_step = "ok", None
+    status, stop_step, reason = "ok", None, ""
     t, step = 0.0, 0
     t_end = config.t_final
     fixed_steps = None if config.adaptive else harness._steps_for(config.tau, t_end)
@@ -30,7 +31,7 @@ def run_serial(config):
         step += 1
         t = t_end if (fixed_steps and step == len(fixed_steps)) else t + tau
         if not np.all(np.isfinite(state)):
-            status, diverged_step = "diverged", step
+            status, stop_step, reason = "diverged", step, f"diverged at step {step}"
             rows.append((step, t, tau, float("nan"), float("nan"), float("nan")))
             break
         last = t >= t_end - 1e-14
@@ -43,6 +44,9 @@ def run_serial(config):
             if need_diag:
                 rows.append(row)
         if monitor is not None:
-            monitor(model, step, harness.max_norm(state) if row is None else row[5])
+            reason = monitor(model, step, harness.max_norm(state) if row is None else row[5])
+            if reason:
+                status, stop_step = "monitor", step
+                break
 
-    return harness.RunRecord(config, model, rows, state, status, diverged_step)
+    return harness.RunRecord(config, model, rows, state, status, stop_step, reason or "")

@@ -5,10 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mpesplit
 from mpesplit.cli import _parse_number, main
+from mpesplit.grid import load_field
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -139,6 +141,30 @@ class TestRun:
         assert code == 3
         assert "# diverged at step" in out
 
+    def test_monitor_stop_exits_3_and_writes_its_files(self, capsys, tmp_path):
+        out_dir = str(tmp_path / "rd")
+        code, out, err = run_cli(capsys, "run", "--model", "rd_system", "--scheme", "lie1",
+                                 "--nx", "32", "--tau", "1e-3", "--tfinal", "0.01",
+                                 "--param", "M=1", "--out", out_dir)
+        assert (code, err) == (3, "")
+        assert out == f"wrote {out_dir} (status: monitor)\n"
+        with open(os.path.join(out_dir, "diagnostics.csv")) as fh:
+            lines = fh.read().splitlines()
+        assert lines[0].startswith("# generated ")
+        assert lines[1] == "step,t,tau,energy,mass,max_norm"
+        assert [line.split(",")[0] for line in lines[2:4]] == ["0", "1"]
+        assert lines[4:] == ["# rd_system monitor: max norm exceeded M=1.0 at step 1"]
+        for i in range(2):
+            grid, component = load_field(os.path.join(out_dir, f"final_state_{i}"))
+            assert grid.shape == (32, 32) and np.all(np.isfinite(component))
+
+    def test_fkpp_default_exponents_as_params(self, capsys):
+        # --param values arrive as floats; p = q = 5 are the model's defaults
+        code, out, _ = run_cli(capsys, "run", "--model", "fkpp", "--nx", "16", "--tau", "0.01",
+                               "--tfinal", "0.02", "--param", "p=5", "--param", "q=5")
+        assert code == 0
+        assert len(out.strip().split("\n")) == 2 + 3
+
     def test_fixed_step_ignores_controller_bounds(self, capsys):
         code, out, _ = run_cli(capsys, "run", "--model", "toy", "--scheme", "lie1",
                                "--nx", "16", "--tau", "0.1", "--tfinal", "0.2",
@@ -248,6 +274,30 @@ class TestConverge:
         assert code == 0
         assert len(out.strip().split("\n")) == 3
 
+    def test_zero_error_gives_nan_rate(self, capsys):
+        # with lam = 0 the flows commute, and the 0.05 rung repeats the
+        # reference run exactly
+        code, out, _ = run_cli(capsys, "converge", "--model", "toy", "--scheme", "strang_a",
+                               "--nx", "16", "--taus", "0.1,0.05", "--tfinal", "0.2",
+                               "--param", "lam=0", "--ref-scheme", "strang_a",
+                               "--ref-tau", "0.05")
+        assert code == 0
+        assert out.strip().split("\n")[2] == "0.05,0.0,nan"
+
+    def test_monitor_stop_of_self_reference_exits_3(self, capsys):
+        code, out, err = run_cli(capsys, "converge", "--model", "rd_system", "--scheme", "lie1",
+                                 "--nx", "16", "--taus", "0.01,0.005", "--tfinal", "0.01",
+                                 "--param", "M=1", "--ref-scheme", "lie1", "--ref-tau", "1e-3")
+        assert (code, out) == (3, "")
+        assert err == ("error: reference run rd_system monitor: max norm exceeded M=1.0"
+                       " at step 1\n")
+
+    def test_zero_horizon_takes_no_step(self, capsys):
+        code, out, _ = run_cli(capsys, "converge", "--model", "toy", "--scheme", "lie1",
+                               "--nx", "16", "--taus", "0.1,0.05", "--tfinal", "0")
+        assert code == 0
+        assert out.strip().split("\n")[1:] == ["0.1,0.0,", "0.05,0.0,nan"]
+
     def test_out_file(self, capsys, tmp_path):
         out_dir = str(tmp_path / "conv")
         code, out, _ = run_cli(capsys, "converge", "--model", "toy",
@@ -348,8 +398,7 @@ class TestRuntimeErrors:
     and exit 2."""
 
     @pytest.mark.parametrize("argv,reason", [
-        (("run", "--model", "rd_system", "--scheme", "lie1", "--nx", "32",
-          "--tau", "1e-3", "--tfinal", "0.01", "--param", "M=1"), "monitor"),
+        (("run", "--model", "toy", "--nx", "16", "--tfinal", "inf"), "finite and >= 0"),
         (("converge", "--model", "ac", "--scheme", "s4_neg", "--nx", "16",
           "--taus", "0.1,0.05", "--tfinal", "0.2", "--ref-scheme", "strang_a",
           "--ref-tau", "0.05"), "allow_backward"),
@@ -364,6 +413,17 @@ class TestRuntimeErrors:
           "--rk-substeps", "0"), "substeps must be >= 1"),
         (("run", "--model", "fkpp", "--nx", "16", "--tau", "0.01", "--tfinal", "0.02",
           "--rk-substeps", "0"), "substeps must be >= 1"),
+        (("run", "--model", "toy", "--nx", "16", "--tfinal", "nan"), "finite and >= 0"),
+        (("run", "--model", "cac", "--nx", "16", "--adaptive", "--tfinal", "inf"),
+         "finite and >= 0"),
+        (("converge", "--model", "toy", "--nx", "16", "--taus", "0.1,0.05", "--tfinal", "-1"),
+         "finite and >= 0"),
+        (("converge", "--model", "nls_linear", "--nx", "16", "--taus", "0.1,0.05",
+          "--reference", "exact", "--tfinal", "inf"), "finite and >= 0"),
+        (("run", "--model", "fkpp", "--nx", "16", "--tfinal", "0.02", "--param", "p=4"),
+         "p = q = 5"),
+        (("run", "--model", "fkpp", "--nx", "16", "--tfinal", "0.02", "--param", "q=5.5"),
+         "p = q = 5"),
     ])
     def test_reported_and_exit_2(self, capsys, argv, reason):
         code, _, err = run_cli(capsys, *argv)

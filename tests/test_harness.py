@@ -44,6 +44,9 @@ class TestStepsFor:
         # 1/0.1 is not an exact float division; no 1e-17 ghost step
         assert len(_steps_for(0.1, 1.0)) == 10
 
+    def test_zero_horizon_has_no_steps(self):
+        assert _steps_for(0.1, 0.0) == []
+
     @pytest.mark.parametrize("tau", [0.0, -0.0, -0.01, math.inf, -math.inf, math.nan])
     def test_rejects_non_positive_or_non_finite_tau(self, tau):
         with pytest.raises(ValueError, match="finite and positive"):
@@ -142,9 +145,15 @@ class TestRun:
             f"# diverged at step {rec.diverged_step}")
 
     def test_monitor_guards_reaction_system(self):
-        with pytest.raises(RuntimeError, match="monitor"):
-            run(RunConfig(model="rd_system", scheme="lie1", nx=32, tau=1e-3,
-                          t_final=0.01, overrides={"M": 1.0}))
+        config = RunConfig(model="rd_system", scheme="lie1", nx=32, tau=1e-3, t_final=0.01,
+                           overrides={"M": 1.0})
+        rec = run(config)
+        assert (rec.status, rec.diverged_step) == ("monitor", 1)
+        assert rec.reason == "rd_system monitor: max norm exceeded M=1.0 at step 1"
+        assert [r[0] for r in rec.rows] == [0, 1]
+        assert diagnostics_csv(rec).endswith(f"# {rec.reason}\n")
+        assert json.loads(record_to_json(rec))["diverged_step"] == 1
+        _same_record(rec, run_serial(config))
 
     def test_energy_decreases_on_gradient_flow(self):
         rec = run(RunConfig(model="ac", scheme="strang_a", nx=64, tau=1 / 40,
@@ -170,7 +179,8 @@ class TestRun:
 
 
 def _same_record(got, ref):
-    assert (got.status, got.diverged_step) == (ref.status, ref.diverged_step)
+    assert (got.status, got.diverged_step, got.reason) == (ref.status, ref.diverged_step,
+                                                           ref.reason)
     assert len(got.rows) == len(ref.rows)
     assert np.asarray(got.rows, dtype=float).tobytes() == np.asarray(ref.rows, dtype=float).tobytes()
     assert [type(v) for r in got.rows for v in r] == [type(v) for r in ref.rows for v in r]
@@ -204,14 +214,14 @@ class TestPipelinedRun:
 
     @pytest.mark.parametrize("every", [1, 3])
     def test_monitor_error_at_the_same_step(self, every):
+        # the monitor stops both loops at step 1; that row is kept only on stride 1
         config = RunConfig(model="rd_system", scheme="s3_1", nx=32, tau=1e-3, t_final=0.01,
                            diagnostics_every=every, overrides={"M": 1.0})
-        with pytest.raises(RuntimeError, match="monitor") as ref:
-            run_serial(config)
-        with pytest.raises(RuntimeError, match="monitor") as got:
-            run(config)
-        assert type(got.value) is type(ref.value) and str(got.value) == str(ref.value)
-        assert "at step 1" in str(got.value)
+        got, ref = run(config), run_serial(config)
+        assert (got.status, got.diverged_step) == ("monitor", 1)
+        assert got.reason.endswith("at step 1")
+        assert [r[0] for r in got.rows] == ([0, 1] if every == 1 else [0])
+        _same_record(got, ref)
 
     def test_divergence_matches_serial_loop(self):
         config = RunConfig(model="ac", scheme="s4_neg", nx=32, tau=5.0, t_final=100.0,
@@ -222,8 +232,8 @@ class TestPipelinedRun:
         _same_record(got, ref)
 
     def test_monitor_error_wins_over_next_step_error(self, monkeypatch):
-        # step 1 leaves max |u| > M = 1, so its monitor fails; step 2's apply
-        # raises before that row is collected
+        # step 1 leaves max |u| > M = 1, so its monitor stops the run and
+        # step 2, whose apply would raise, never runs
         calls = []
         apply = harness.apply
 
@@ -236,40 +246,41 @@ class TestPipelinedRun:
         monkeypatch.setattr(harness, "apply", failing_second_step)
         config = RunConfig(model="rd_system", scheme="lie1", nx=32, tau=1e-3, t_final=0.01,
                            overrides={"M": 1.0})
-        with pytest.raises(RuntimeError, match="monitor: .* at step 1$"):
-            run(config)
-        assert len(calls) == 2
+        rec = run(config)
+        assert rec.status == "monitor" and rec.reason.endswith("at step 1")
+        assert len(calls) == 1
         calls.clear()
         with pytest.raises(ArithmeticError, match="step 2 failed"):
             run(RunConfig(model="rd_system", scheme="lie1", nx=32, tau=1e-3, t_final=0.01))
 
-    def test_energy_error_of_a_row_wins(self, monkeypatch):
+    def test_row_error_surfaces(self, monkeypatch):
         def bad_energy(model, state, grid):
             raise ValueError("energy failed")
 
         monkeypatch.setattr(harness, "energy", bad_energy)
-        monkeypatch.setattr(harness, "apply", lambda *args: 1 / 0)
         with pytest.raises(ValueError, match="energy failed"):
             run(RunConfig(model="ac", scheme="strang_a", nx=16, tau=0.1, t_final=0.2))
 
     def test_rows_run_on_the_helper_steps_on_the_caller(self, monkeypatch):
         threads = {"rows": set(), "steps": set()}
-        diagnostics, apply = harness._diagnostics, harness.apply
+        diag_row, apply = harness._diag_row, harness.apply
 
-        def spy_diagnostics(*args):
+        def spy_diag_row(*args):
             threads["rows"].add(threading.current_thread())
-            return diagnostics(*args)
+            return diag_row(*args)
 
         def spy_apply(*args):
             threads["steps"].add(threading.current_thread())
             return apply(*args)
 
-        monkeypatch.setattr(harness, "_diagnostics", spy_diagnostics)
+        configs = [RunConfig(model="cac", scheme="strang_a", nx=16, tau=0.05, t_final=0.2,
+                             adaptive=adaptive, tau_min=0.01, tau_max=0.05)
+                   for adaptive in (False, True)]
+        refs = [run_serial(config) for config in configs]  # before the spies: it calls both
+        monkeypatch.setattr(harness, "_diag_row", spy_diag_row)
         monkeypatch.setattr(harness, "apply", spy_apply)
-        for adaptive in (False, True):
-            config = RunConfig(model="cac", scheme="strang_a", nx=16, tau=0.05, t_final=0.2,
-                               adaptive=adaptive, tau_min=0.01, tau_max=0.05)
-            _same_record(run(config), run_serial(config))
+        for config, ref in zip(configs, refs):
+            _same_record(run(config), ref)
         assert threads["steps"] == {threading.current_thread()}
         assert len(threads["rows"]) == 1 and threading.current_thread() not in threads["rows"]
         assert threads["rows"] == {schemes.submit(threading.current_thread).result()}
@@ -360,6 +371,13 @@ class TestConvergence:
         rep = ConvergenceReport([0.1, 0.05], [8e-3, 1e-3], [])
         assert rep.recompute_rates() == [pytest.approx(3.0)]
 
+    @pytest.mark.parametrize("errors", [[0.0, 0.0], [1e-3, 0.0], [0.0, 1e-3], [-1.0, 1e-3]])
+    def test_rate_of_errors_not_both_positive_is_nan(self, errors):
+        rep = ConvergenceReport([0.1, 0.05], errors, [])
+        rep.rates = rep.recompute_rates()
+        assert math.isnan(rep.rates[0])
+        assert convergence_csv(rep).strip().split("\n")[2].endswith(",nan")
+
     def test_rates_match_recompute(self):
         rep = convergence_study("nls_linear", "strang_a", [0.2, 0.1, 0.05],
                                 "exact", t_final=0.4, nx=64)
@@ -410,10 +428,10 @@ class TestConvergence:
                     allow_backward=True)
         assert all(math.isfinite(e) for e in rep.errors_inf)
 
-    def test_l2_errors_optional(self):
+    def test_l2_errors_always_filled(self):
         rep = convergence_study("nls_nonlinear", "strang_a", [0.1, 0.05], "exact",
-                                t_final=0.5, nx=32, with_l2=True)
-        assert rep.errors_l2 is not None and len(rep.errors_l2) == 2
+                                t_final=0.5, nx=32)
+        assert len(rep.errors_l2) == 2
         assert all(e > 0 for e in rep.errors_l2)
         # |domain| = 4 pi^2, so L2 <= 2 pi Linf
         for l2, linf in zip(rep.errors_l2, rep.errors_inf):

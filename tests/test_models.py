@@ -57,11 +57,16 @@ class TestRegistry:
         assert fkpp.params == {"D": 0.001, "p": 5, "q": 5}
         lin = make_model("nls_linear")
         assert (lin.n_default, lin.length, lin.x0) == (400, 16 * math.pi, -8 * math.pi)
-        assert lin.scalar_kind == "complex"
         assert lin.params == {"eps": 1.0, "rho": 0.0}
         non = make_model("nls_nonlinear")
         assert (non.length, non.x0) == (2 * math.pi, -math.pi)
         assert non.params == {"eps": 0.5, "rho": -1.0}
+
+    @pytest.mark.parametrize("name", model_names())
+    def test_initial_state_dtype(self, name):
+        model = make_model(name)
+        kind = np.complex128 if name.startswith("nls_") else np.float64
+        assert initial_condition(model, default_grid(model, 8)).dtype == kind
 
     def test_rd_matches_mesh_width(self):
         # box side 2 with mesh width 1/512
