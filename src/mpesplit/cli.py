@@ -11,7 +11,6 @@ import sys
 from dataclasses import asdict, fields, replace
 from datetime import datetime, timezone
 from fractions import Fraction
-from functools import partial
 
 from . import harness, models, order, schemes
 
@@ -102,15 +101,11 @@ def _cmd_converge(args) -> int:
     else:
         ref = harness.run(replace(cfg, scheme=args.ref_scheme, tau=args.ref_tau, out_dir=None))
         if ref.status != "ok":
-            raise FloatingPointError(f"reference run {ref.reason}")
+            print(f"error: reference run {ref.reason}", file=sys.stderr)
+            return 3
         reference = ref.final_state
-    if args.taus:
-        study, ladder = harness.convergence_study, args.taus
-    else:
-        study, ladder = partial(harness.random_grid_study, seed=args.seed), args.random_n
-    report = study(cfg.model, cfg.scheme, ladder, reference, cfg.t_final, nx=cfg.nx,
-                   rk_substeps=cfg.rk_substeps, overrides=cfg.overrides,
-                   allow_backward=cfg.allow_backward)
+    report = (harness.convergence_study(cfg, args.taus, reference) if args.taus else
+              harness.random_grid_study(cfg, args.random_n, reference, seed=args.seed))
     text = harness.convergence_csv(report)
     if cfg.out_dir:
         os.makedirs(cfg.out_dir, exist_ok=True)
@@ -120,7 +115,7 @@ def _cmd_converge(args) -> int:
         print(f"wrote {path}")
     else:
         sys.stdout.write(text)
-    return 0
+    return 0 if report.status == "ok" else 3
 
 
 def _cmd_order_check(args) -> int:
@@ -243,9 +238,6 @@ def main(argv=None) -> int:
     except (KeyError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FloatingPointError as exc:  # a study or its reference run stopped; run() records it
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

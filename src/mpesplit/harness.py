@@ -1,24 +1,19 @@
 """Time-stepping driver, adaptive step controller, convergence studies, and
 the named experiment presets.
 
-A run is one loop of scheme steps with diagnostics rows sampled along the
-way. The steps follow one another; within a step, `schemes.apply` runs the
-terms of a multi-term scheme on two threads. A row is handed to the same
-helper thread (`schemes.submit`) and computed while the next step runs on
-the caller; before the next row is handed over, the loop waits for this
-one, so at most one row is in flight. An adaptive run waits for each row at
-once, because the controller needs its energy before it picks the next step
-size. Rows and final states are those of a serial loop; an error raised by
-a row surfaces at the next wait, so it can come after an error of the step
-that followed it.
-
-A run ends with a status and a reason. Divergence (NaN or Inf anywhere in
-the state) stops it as "diverged"; for the negative-coefficient scheme that
-outcome is the experiment. A model's monitor (the max-norm bound of
-`rd_system`) looks at each new state on the calling thread and stops the
-run as "monitor" when it returns a reason. Either way the record keeps the
-rows and the state of the step it stopped at, and with an out_dir they are
-written like those of a run that ended "ok".
+One loop, `_march`, steps every run and every rung of a study; it is the
+only code here that calls `schemes.apply` and looks for NaN or Inf in a
+state, and it stops a run or a rung as "diverged" at a step that left one
+(for the negative-coefficient scheme that outcome is the experiment). A
+run's per-step hook hands each kept diagnostics row to the helper thread
+(`schemes.submit`), where it is computed while the next step runs, with at
+most one row in flight; feeds the adaptive controller, which waits for the
+row's energy; and asks the model's monitor (the max-norm bound of
+`rd_system`), which stops the run as "monitor" when it returns a reason.
+A stopped run keeps its rows and the state of the step it stopped at, and
+a stopped study the rungs that finished. Rows and final states are those of
+a serial loop; a row's error surfaces at the next wait, so it can come
+after an error of the step that followed it.
 """
 
 from __future__ import annotations
@@ -28,6 +23,7 @@ import math
 import os
 from dataclasses import dataclass, field, asdict
 from datetime import datetime, timezone
+from itertools import accumulate
 
 import numpy as np
 
@@ -107,10 +103,6 @@ class RunRecord:
     diverged_step: int | None = None  # the step a run that is not ok stopped at
     reason: str = ""  # why a run that is not ok stopped
 
-    @property
-    def times(self):
-        return [r[1] for r in self.rows]
-
 
 def _diag_row(model, step, t, tau, state, grid):
     return (step, t, tau, energy(model, state, grid), mass(model, state, grid), max_norm(state))
@@ -129,6 +121,8 @@ def _setup(config: RunConfig):
     """(model, grid, scheme, flows, u0) of a run or a study."""
     if not (math.isfinite(config.t_final) and config.t_final >= 0):
         raise ValueError(f"final time must be finite and >= 0, got {config.t_final}")
+    if config.diagnostics_every < 1:
+        raise ValueError(f"diagnostics_every must be >= 1, got {config.diagnostics_every}")
     model = make_model(config.model, **config.overrides)
     grid = default_grid(model, config.nx)
     scheme = checked_scheme(config)
@@ -136,51 +130,72 @@ def _setup(config: RunConfig):
     return model, grid, scheme, flows, initial_condition(model, grid)
 
 
-def run(config: RunConfig) -> RunRecord:
-    model, grid, scheme, flows, state = _setup(config)
-    adaptive = config.adaptive
-    if adaptive:
-        controller = StepController(config.tau_min, config.tau_max, config.alpha)
-    t_end = config.t_final
-    fixed_steps = None if adaptive else _steps_for(config.tau, t_end)
-    rows, in_flight = [], None  # the future of the last kept row, not yet in rows
-    status, stop_step, reason = "ok", None, ""
-    t, tau, step = 0.0, 0.0, 0
+def _timed(steps, t_end):
+    """(tau, t after the step) of each step of a list; the last lands on t_end."""
+    return zip(steps, [*accumulate(steps[:-1]), t_end])
+
+
+def _adaptive_steps(controller: StepController, t_end: float):
+    """(tau, t) of each adaptive step, picked when asked for; the last ends at t_end."""
+    t = 0.0
+    while True:
+        tau = min(adaptive_tau(controller, estimate_e_prime(controller.history)), t_end - t)
+        t += tau
+        yield tau, t
+
+
+def _march(scheme, flows, state, t_end, steps, hook=None):
+    """Step state over the (tau, t) pairs of the iterator steps to t_end;
+    before the first step and after each one, hook(step, t, tau, state, last)
+    may return a reason to stop. Returns (state, step, t, tau, status, reason)
+    where it stopped: "ok" at t_end, "monitor" on a reason, "diverged"."""
+    step, t, tau = 0, 0.0, 0.0
     while True:
         last = t >= t_end - 1e-14
+        reason = hook(step, t, tau, state, last) if hook is not None else None
+        if reason:
+            return state, step, t, tau, "monitor", reason
+        if last:
+            return state, step, t, tau, "ok", ""
+        tau, t = next(steps)
+        state = apply(scheme, flows, tau, state)
+        step += 1
+        if not np.all(np.isfinite(state)):
+            return state, step, t, tau, "diverged", f"diverged at step {step}"
+
+
+def run(config: RunConfig) -> RunRecord:
+    model, grid, scheme, flows, u0 = _setup(config)
+    if config.adaptive:
+        controller = StepController(config.tau_min, config.tau_max, config.alpha)
+        steps = _adaptive_steps(controller, config.t_final)
+    else:
+        steps = _timed(_steps_for(config.tau, config.t_final), config.t_final)
+    rows, in_flight = [], None  # the future of the last kept row, not yet in rows
+
+    def each_step(step, t, tau, state, last):
+        nonlocal in_flight
         keep = step % config.diagnostics_every == 0 or last
-        if keep or adaptive:
+        if keep or config.adaptive:
             if in_flight is not None:
                 rows.append(in_flight.result())
             in_flight = submit(_diag_row, model, step, t, tau, state, grid)
-            if adaptive:  # the controller needs the energy before it picks tau
+            if config.adaptive:  # the controller needs the energy before it picks tau
                 controller.record(t, in_flight.result()[3])
                 if not keep:
                     in_flight = None
         if step and model.monitor is not None:  # the state of each step, on the caller
-            reason = model.monitor(model, step, max_norm(state)) or ""
-            if reason:
-                status, stop_step = "monitor", step
-                break
-        if last:
-            break
-        if adaptive:
-            tau = adaptive_tau(controller, estimate_e_prime(controller.history))
-            tau = min(tau, t_end - t)  # shortened final step, recorded as taken
-        else:
-            tau = fixed_steps[step]
-        state = apply(scheme, flows, tau, state)
-        step += 1
-        t = t_end if (fixed_steps and step == len(fixed_steps)) else t + tau
-        if not np.all(np.isfinite(state)):
-            status, stop_step, reason = "diverged", step, f"diverged at step {step}"
-            break
+            return model.monitor(model, step, max_norm(state))
+
+    state, step, t, tau, status, reason = _march(scheme, flows, u0, config.t_final,
+                                                 steps, each_step)
     if in_flight is not None:
         rows.append(in_flight.result())
     if status == "diverged":
         rows.append((step, t, tau, float("nan"), float("nan"), float("nan")))
 
-    record = RunRecord(config, model, rows, state, status, stop_step, reason)
+    stop = None if status == "ok" else step
+    record = RunRecord(config, model, rows, state, status, stop, reason)
     if config.out_dir:
         write_record(record, grid, timestamp=datetime.now(timezone.utc).isoformat())
     return record
@@ -240,15 +255,19 @@ class ConvergenceReport:
     errors_inf: list
     rates: list  # rates[i] = log(e_i/e_{i+1}) / log(tau_i/tau_{i+1})
     errors_l2: list = field(default_factory=list)
+    status: str = "ok"  # "ok" | "diverged"; the lists hold the rungs that finished
+    reason: str = ""  # why a study that is not ok stopped
 
     def recompute_rates(self):
         """The rate of each pair of neighbouring rungs; NaN where the two
-        errors are not both positive, as when the flows commute."""
+        errors are not both positive, as when the flows commute, or where
+        the two steps are equal."""
         out = []
         for i in range(len(self.taus) - 1):
             e0, e1 = self.errors_inf[i], self.errors_inf[i + 1]
-            out.append(math.log(e0 / e1) / math.log(self.taus[i] / self.taus[i + 1])
-                       if e0 > 0 and e1 > 0 else math.nan)
+            t0, t1 = self.taus[i], self.taus[i + 1]
+            out.append(math.log(e0 / e1) / math.log(t0 / t1)
+                       if e0 > 0 and e1 > 0 and t0 != t1 else math.nan)
         return out
 
 
@@ -267,47 +286,37 @@ def _steps_for(tau, t_final):
 
 def _study(config: RunConfig, taus, step_lists, reference) -> ConvergenceReport:
     """Errors of runs over each step list against the reference; the report
-    lists them against taus."""
+    lists them against taus, up to the first rung that diverged."""
     model, grid, scheme, flows, u0 = _setup(config)
     if isinstance(reference, str):
         if reference != "exact":
-            raise ValueError("reference must be 'exact', a RunRecord, or a state array")
-        ref_state = _models.exact_solution(model, config.t_final, grid)
-    else:
-        if isinstance(reference, RunRecord):
-            reference = reference.final_state
-        ref_state = np.asarray(reference)
-        if ref_state.shape != u0.shape:
-            raise ValueError("reference grid does not match study grid")
-    errors_inf, errors_l2 = [], []
-    for steps in step_lists:
-        state = u0  # apply never writes into the state it is given
-        for tau in steps:
-            state = apply(scheme, flows, tau, state)
-            if not np.all(np.isfinite(state)):
-                raise FloatingPointError("state diverged during convergence run")
+            raise ValueError("reference must be 'exact' or a state array")
+        reference = _models.exact_solution(model, config.t_final, grid)
+    ref_state = np.asarray(reference)
+    if ref_state.shape != u0.shape:
+        raise ValueError("reference grid does not match study grid")
+    errors_inf, errors_l2, status, reason = [], [], "ok", ""
+    for tau, steps in zip(taus, step_lists):
+        state, *_, status, reason = _march(scheme, flows, u0, config.t_final,
+                                           _timed(steps, config.t_final))
+        if status != "ok":
+            reason = f"tau {_fmt(tau)}: {reason}"
+            break
         diff = np.abs(state - ref_state)
         errors_inf.append(float(diff.max()))
         errors_l2.append(float(math.sqrt(grid.h**grid.dim * float((diff**2).sum()))))
-    report = ConvergenceReport(taus, errors_inf, [], errors_l2)
+    report = ConvergenceReport(taus[:len(errors_inf)], errors_inf, [], errors_l2, status, reason)
     report.rates = report.recompute_rates()
     return report
 
 
-def convergence_study(model_id: str, scheme_name: str, tau_ladder, reference,
-                      t_final: float, nx: int | None = None, rk_substeps: int = 4,
-                      overrides: dict | None = None,
-                      allow_backward: bool = False) -> ConvergenceReport:
-    """Error ladder at fixed t_final against a reference.
-
-    reference is either the string "exact" (models with a printed solution)
-    or a state array on the same grid (no interpolation is done, by design).
-    """
-    config = RunConfig(model_id, scheme_name, nx, t_final=t_final, rk_substeps=rk_substeps,
-                       overrides=overrides or {}, allow_backward=allow_backward)
-    taus = [float(t) for t in tau_ladder]
+def convergence_study(config: RunConfig, taus, reference) -> ConvergenceReport:
+    """Error ladder at config.t_final, one rung of fixed steps per tau, against
+    reference: "exact" (models with a printed solution) or a state array on
+    the same grid (no interpolation is done, by design); config.tau is unused."""
+    taus = [float(t) for t in taus]
     # a generator, so that _study checks t_final before any step list is made
-    return _study(config, taus, (_steps_for(tau, t_final) for tau in taus), reference)
+    return _study(config, taus, (_steps_for(tau, config.t_final) for tau in taus), reference)
 
 
 def random_subdivisions(t_final: float, n: int, rng) -> list:
@@ -322,16 +331,11 @@ def random_subdivisions(t_final: float, n: int, rng) -> list:
     return taus
 
 
-def random_grid_study(model_id: str, scheme_name: str, n_ladder, reference,
-                      t_final: float, nx: int | None = None, seed: int = 0,
-                      rk_substeps: int = 4, overrides: dict | None = None,
-                      allow_backward: bool = False) -> ConvergenceReport:
+def random_grid_study(config: RunConfig, n_ladder, reference, seed: int = 0) -> ConvergenceReport:
     """Convergence on random time grids; tau(N) is the largest subinterval.
     reference is as for convergence_study."""
-    config = RunConfig(model_id, scheme_name, nx, t_final=t_final, rk_substeps=rk_substeps,
-                       overrides=overrides or {}, allow_backward=allow_backward)
     rng = np.random.default_rng(seed)
-    step_lists = [random_subdivisions(t_final, int(n), rng) for n in n_ladder]
+    step_lists = [random_subdivisions(config.t_final, int(n), rng) for n in n_ladder]
     return _study(config, [max(steps) for steps in step_lists], step_lists, reference)
 
 
@@ -340,6 +344,8 @@ def convergence_csv(report: ConvergenceReport) -> str:
     for i, (tau, err) in enumerate(zip(report.taus, report.errors_inf)):
         rate = "" if i == 0 else _fmt(report.rates[i - 1])
         lines.append(f"{_fmt(tau)},{_fmt(err)},{rate}")
+    if report.status != "ok":
+        lines.append(f"# {report.reason}")
     return "\n".join(lines) + "\n"
 
 

@@ -1,7 +1,11 @@
-"""Reference time loop, for differential tests: `harness.run` as a serial
-loop, each step's diagnostics computed on the calling thread right after
-the step and before the next one starts, and a monitor that returns a
-reason stopping the run before the next step. It writes no files."""
+"""Reference time loops, for differential tests. `run_serial` is
+`harness.run` as a serial loop, each step's diagnostics computed on the
+calling thread right after the step and before the next one starts, and a
+monitor that returns a reason stopping the run before the next step. It
+writes no files. `study_serial` is the error ladder of the convergence
+studies as a plain loop of steps."""
+
+import math
 
 import numpy as np
 
@@ -50,3 +54,18 @@ def run_serial(config):
                 break
 
     return harness.RunRecord(config, model, rows, state, status, stop_step, reason or "")
+
+
+def study_serial(config, step_lists, ref_state):
+    """(errors_inf, errors_l2) of a plain `apply` loop over each step list
+    against ref_state, as the convergence studies compute them."""
+    _, grid, scheme, flows, u0 = harness._setup(config)
+    errors_inf, errors_l2 = [], []
+    for steps in step_lists:
+        state = u0
+        for tau in steps:
+            state = harness.apply(scheme, flows, tau, state)
+        diff = np.abs(state - ref_state)
+        errors_inf.append(float(diff.max()))
+        errors_l2.append(float(math.sqrt(grid.h**grid.dim * float((diff**2).sum()))))
+    return errors_inf, errors_l2

@@ -124,7 +124,8 @@ def test_criterion_4_toy_convergence_rates():
                "s4_3": 4.0, "s4_4": 4.0}
     lines, failures = [], []
     for name, want in targets.items():
-        rep = convergence_study("toy", name, ladder, reference, t_final=6.0, nx=128)
+        rep = convergence_study(RunConfig(model="toy", scheme=name, nx=128, t_final=6.0),
+                                ladder, reference.final_state)
         slope = float(np.polyfit(np.log(rep.taus), np.log(rep.errors_inf), 1)[0])
         last = rep.rates[-1]
         ok = abs(slope - want) <= 0.3 and abs(last - want) <= 0.3
@@ -195,8 +196,8 @@ def test_criterion_6_soliton_rates_and_invariant_drift():
     def rates_ok(nx):
         ok = True
         for name, want in targets.items():
-            rep = convergence_study("nls_linear", name, ladder, "exact",
-                                    t_final=1.0, nx=nx)
+            rep = convergence_study(RunConfig(model="nls_linear", scheme=name, nx=nx,
+                                              t_final=1.0), ladder, "exact")
             slope = float(np.polyfit(np.log(rep.taus),
                                      np.log(rep.errors_inf), 1)[0])
             last = rep.rates[-1]

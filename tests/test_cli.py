@@ -361,17 +361,44 @@ class TestConverge:
         assert code == 0
         assert len(out.strip().split("\n")) == 3
 
-    @pytest.mark.parametrize("schemes", [("s4_neg", "strang_a", "1"), ("strang_a", "s4_neg", "40")])
+    @pytest.mark.parametrize("schemes", [
+        # the first rung diverged: a table of no rungs, then the reason
+        ("s4_neg", "strang_a", "1", "tau,error_inf,rate\n# tau 40.0: diverged at step 1\n", ""),
+        # the self-reference run diverged: one error line
+        ("strang_a", "s4_neg", "40", "", "error: reference run diverged at step 1\n"),
+    ])
     def test_divergence_exits_3(self, capsys, schemes):
-        scheme, ref_scheme, ref_tau = schemes
+        scheme, ref_scheme, ref_tau, want_out, want_err = schemes
         code, out, err = run_cli(capsys, "converge", "--model", "ac", "--scheme", scheme,
                                  "--allow-backward", "--nx", "32", "--taus", "40,20",
                                  "--tfinal", "80", "--ref-scheme", ref_scheme,
                                  "--ref-tau", ref_tau)
-        assert code == 3
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "diverged" in err
+        assert (code, out, err) == (3, want_out, want_err)
+
+    def test_diverged_rung_keeps_the_rungs_before_it(self, capsys, tmp_path):
+        argv = ("converge", "--model", "ac", "--scheme", "s4_neg", "--allow-backward",
+                "--nx", "16", "--taus", "0.5,0.25,1", "--tfinal", "2",
+                "--ref-scheme", "strang_a", "--ref-tau", "0.25")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (3, "")
+        lines = out.splitlines()
+        assert lines[0] == "tau,error_inf,rate"
+        assert [line.split(",")[0] for line in lines[1:3]] == ["0.5", "0.25"]
+        assert lines[3:] == ["# tau 1.0: diverged at step 1"]
+        out_dir = str(tmp_path / "conv")
+        code, printed, _ = run_cli(capsys, *argv, "--out", out_dir)
+        path = os.path.join(out_dir, "convergence.csv")
+        assert (code, printed) == (3, f"wrote {path}\n")
+        with open(path) as fh:
+            assert fh.read() == out
+
+    def test_equal_steps_give_nan_rate(self, capsys):
+        code, out, _ = run_cli(capsys, "converge", "--model", "toy", "--scheme", "lie1",
+                               "--nx", "16", "--taus", "0.1,0.1", "--tfinal", "0.2",
+                               "--ref-tau", "0.05")
+        assert code == 0
+        first, second = out.strip().split("\n")[1:]
+        assert second == first + "nan"
 
 
     @pytest.mark.parametrize("ladder", [("--taus", "0.2,0.1"), ("--random-n", "4,8")])
@@ -424,8 +451,17 @@ class TestRuntimeErrors:
          "p = q = 5"),
         (("run", "--model", "fkpp", "--nx", "16", "--tfinal", "0.02", "--param", "q=5.5"),
          "p = q = 5"),
+        (("run", "--config", '{"model": "toy", "nx": 16, "diagnostics_every": 0}'),
+         "diagnostics_every must be >= 1"),
+        (("run", "--config", '{"model": "toy", "nx": 16, "diagnostics_every": -2}'),
+         "diagnostics_every must be >= 1"),
     ])
-    def test_reported_and_exit_2(self, capsys, argv, reason):
+    def test_reported_and_exit_2(self, capsys, tmp_path, argv, reason):
+        if "--config" in argv:  # the JSON text after --config goes to a file
+            i = argv.index("--config") + 1
+            path = tmp_path / "config.json"
+            path.write_text(argv[i])
+            argv = (*argv[:i], str(path), *argv[i + 1:])
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from mpesplit.harness import (
     record_to_json,
     run,
 )
-from reference_harness import run_serial
+from reference_harness import run_serial, study_serial
 
 
 class TestStepsFor:
@@ -114,7 +115,7 @@ class TestRun:
 
     def test_shortened_final_step(self):
         rec = run(RunConfig(model="toy", scheme="strang_a", nx=32, tau=0.4, t_final=1.0))
-        assert rec.times[-1] == 1.0
+        assert rec.rows[-1][1] == 1.0
         last = rec.rows[-1]
         assert last[0] == 3
         assert abs(last[2] - 0.2) < 1e-15
@@ -123,7 +124,7 @@ class TestRun:
         rec = run(RunConfig(model="toy", scheme="strang_a", nx=32, tau=0.01,
                             t_final=0.05, diagnostics_every=3))
         assert [r[0] for r in rec.rows] == [0, 3, 5]
-        assert rec.times[-1] == pytest.approx(0.05)
+        assert rec.rows[-1][1] == pytest.approx(0.05)
 
     def test_deterministic_reruns(self):
         cfg = RunConfig(model="ac", scheme="s3_1", nx=32, tau=0.05, t_final=0.5)
@@ -168,7 +169,7 @@ class TestRun:
                             tau_min=0.01, tau_max=0.1, alpha=1e6, t_final=0.5))
         taus = [r[2] for r in rec.rows[1:]]
         assert all(0.0 < t <= 0.1 + 1e-15 for t in taus)
-        assert rec.times[-1] == pytest.approx(0.5, abs=1e-12)
+        assert rec.rows[-1][1] == pytest.approx(0.5, abs=1e-12)
         # first step always launches at tau_max
         assert taus[0] == pytest.approx(0.1)
 
@@ -371,22 +372,28 @@ class TestConvergence:
         rep = ConvergenceReport([0.1, 0.05], [8e-3, 1e-3], [])
         assert rep.recompute_rates() == [pytest.approx(3.0)]
 
-    @pytest.mark.parametrize("errors", [[0.0, 0.0], [1e-3, 0.0], [0.0, 1e-3], [-1.0, 1e-3]])
-    def test_rate_of_errors_not_both_positive_is_nan(self, errors):
-        rep = ConvergenceReport([0.1, 0.05], errors, [])
+    @pytest.mark.parametrize("errors,taus", [
+        ([0.0, 0.0], [0.1, 0.05]),
+        ([1e-3, 0.0], [0.1, 0.05]),
+        ([0.0, 1e-3], [0.1, 0.05]),
+        ([-1.0, 1e-3], [0.1, 0.05]),
+        ([8e-3, 1e-3], [0.1, 0.1]),  # equal steps have no rate either
+    ], ids=["errors0", "errors1", "errors2", "errors3", "equal_taus"])
+    def test_rate_of_errors_not_both_positive_is_nan(self, errors, taus):
+        rep = ConvergenceReport(taus, errors, [])
         rep.rates = rep.recompute_rates()
         assert math.isnan(rep.rates[0])
         assert convergence_csv(rep).strip().split("\n")[2].endswith(",nan")
 
     def test_rates_match_recompute(self):
-        rep = convergence_study("nls_linear", "strang_a", [0.2, 0.1, 0.05],
-                                "exact", t_final=0.4, nx=64)
+        rep = convergence_study(RunConfig(model="nls_linear", scheme="strang_a", nx=64,
+                                          t_final=0.4), [0.2, 0.1, 0.05], "exact")
         assert rep.rates == rep.recompute_rates()
         assert len(rep.rates) == 2
 
     def test_exact_reference_rates(self):
-        rep = convergence_study("nls_linear", "s4_2", [0.2, 0.1, 0.05, 0.025],
-                                "exact", t_final=0.4, nx=256)
+        rep = convergence_study(RunConfig(model="nls_linear", scheme="s4_2", nx=256,
+                                          t_final=0.4), [0.2, 0.1, 0.05, 0.025], "exact")
         assert all(e1 > e2 for e1, e2 in zip(rep.errors_inf, rep.errors_inf[1:]))
         assert abs(rep.rates[-1] - 4.0) < 0.4
 
@@ -394,43 +401,44 @@ class TestConvergence:
         # the lattice-potential solution is a Laplacian eigenfunction whose
         # amplitude never changes, so both flows reduce to phases and any
         # consistent scheme follows it exactly
-        rep = convergence_study("nls_nonlinear", "s4_2", [0.1, 0.05], "exact",
-                                t_final=0.5, nx=64)
+        rep = convergence_study(RunConfig(model="nls_nonlinear", scheme="s4_2", nx=64,
+                                          t_final=0.5), [0.1, 0.05], "exact")
         assert max(rep.errors_inf) <= 1e-12
 
-    def test_run_record_accepted_as_reference(self):
+    def test_second_order_reference_array(self):
         ref = run(RunConfig(model="toy", scheme="s6", nx=32, tau=0.01, t_final=1.0))
-        rep = convergence_study("toy", "strang_a", [0.2, 0.1, 0.05, 0.025], ref,
-                                t_final=1.0, nx=32)
+        rep = convergence_study(RunConfig(model="toy", scheme="strang_a", nx=32, t_final=1.0),
+                                [0.2, 0.1, 0.05, 0.025], ref.final_state)
         assert abs(rep.rates[-1] - 2.0) < 0.2
 
     def test_first_order_reference_array(self):
         ref = run(RunConfig(model="toy", scheme="s6", nx=32, tau=0.01, t_final=1.0))
-        rep = convergence_study("toy", "lie1", [0.2, 0.1, 0.05, 0.025],
-                                ref.final_state, t_final=1.0, nx=32)
+        rep = convergence_study(RunConfig(model="toy", scheme="lie1", nx=32, t_final=1.0),
+                                [0.2, 0.1, 0.05, 0.025], ref.final_state)
         assert abs(rep.rates[-1] - 1.0) < 0.15
 
     def test_reference_shape_checked(self):
         with pytest.raises(ValueError, match="reference grid"):
-            convergence_study("toy", "lie1", [0.1], np.zeros((16, 16)),
-                              t_final=0.5, nx=32)
+            convergence_study(RunConfig(model="toy", scheme="lie1", nx=32, t_final=0.5),
+                              [0.1], np.zeros((16, 16)))
 
     def test_reference_string_checked(self):
         with pytest.raises(ValueError, match="exact"):
-            convergence_study("toy", "lie1", [0.1], "fine", t_final=0.5, nx=32)
+            convergence_study(RunConfig(model="toy", scheme="lie1", nx=32, t_final=0.5),
+                              [0.1], "fine")
 
     @pytest.mark.parametrize("study,ladder", [(convergence_study, [0.2, 0.1]),
                                               (random_grid_study, [2, 4])])
     def test_negative_coefficient_scheme_needs_flag(self, study, ladder):
+        config = RunConfig(model="nls_linear", scheme="s4_neg", nx=16, t_final=0.4)
         with pytest.raises(ValueError, match="allow_backward"):
-            study("nls_linear", "s4_neg", ladder, "exact", t_final=0.4, nx=16)
-        rep = study("nls_linear", "s4_neg", ladder, "exact", t_final=0.4, nx=16,
-                    allow_backward=True)
+            study(config, ladder, "exact")
+        rep = study(replace(config, allow_backward=True), ladder, "exact")
         assert all(math.isfinite(e) for e in rep.errors_inf)
 
     def test_l2_errors_always_filled(self):
-        rep = convergence_study("nls_nonlinear", "strang_a", [0.1, 0.05], "exact",
-                                t_final=0.5, nx=32)
+        rep = convergence_study(RunConfig(model="nls_nonlinear", scheme="strang_a", nx=32,
+                                          t_final=0.5), [0.1, 0.05], "exact")
         assert len(rep.errors_l2) == 2
         assert all(e > 0 for e in rep.errors_l2)
         # |domain| = 4 pi^2, so L2 <= 2 pi Linf
@@ -444,6 +452,60 @@ class TestConvergence:
         assert lines[0] == "tau,error_inf,rate"
         assert lines[1].endswith(",")  # no rate on the first ladder point
         assert float(lines[2].split(",")[2]) == pytest.approx(3.0)
+
+
+class TestStudyLoop:
+    """The studies step each rung through the loop of `run`; their errors are
+    those of a plain loop of steps, and a diverged rung ends the ladder."""
+
+    def test_fixed_ladder_matches_plain_loop(self):
+        config = RunConfig(model="nls_linear", scheme="s4_2", nx=32, t_final=0.5)
+        taus = [0.3, 0.2, 0.1, 0.05]  # 0.3 ends with a shortened step
+        rep = convergence_study(config, taus, "exact")
+        model, grid, *_ = harness._setup(config)
+        ref_state = models.exact_solution(model, config.t_final, grid)
+        errors_inf, errors_l2 = study_serial(config, [_steps_for(t, 0.5) for t in taus],
+                                             ref_state)
+        assert (rep.status, rep.reason, rep.taus) == ("ok", "", taus)
+        assert rep.errors_inf == errors_inf
+        assert rep.errors_l2 == errors_l2
+
+    def test_random_ladder_matches_plain_loop(self):
+        config = RunConfig(model="toy", scheme="s3_2", nx=32, t_final=0.4)
+        ref_state = run(replace(config, scheme="s6", tau=0.01)).final_state
+        rep = random_grid_study(config, [3, 7, 12], ref_state, seed=4)
+        rng = np.random.default_rng(4)
+        step_lists = [random_subdivisions(0.4, n, rng) for n in (3, 7, 12)]
+        errors_inf, errors_l2 = study_serial(config, step_lists, ref_state)
+        assert rep.status == "ok"
+        assert rep.taus == [max(steps) for steps in step_lists]
+        assert rep.errors_inf == errors_inf
+        assert rep.errors_l2 == errors_l2
+
+    def test_diverged_rung_keeps_the_rungs_before_it(self):
+        config = RunConfig(model="ac", scheme="s4_neg", nx=16, t_final=2.0,
+                           allow_backward=True)
+        ref_state = np.zeros((16, 16))
+        with np.errstate(all="ignore"):
+            rep = convergence_study(config, [0.5, 0.25, 1.0, 0.125], ref_state)
+            errors_inf, errors_l2 = study_serial(
+                config, [_steps_for(t, 2.0) for t in (0.5, 0.25)], ref_state)
+        assert (rep.status, rep.reason) == ("diverged", "tau 1.0: diverged at step 1")
+        assert rep.taus == [0.5, 0.25]
+        assert (rep.errors_inf, rep.errors_l2) == (errors_inf, errors_l2)
+        assert len(rep.rates) == 1 and math.isfinite(rep.rates[0])
+        lines = convergence_csv(rep).splitlines()
+        assert [line.split(",")[0] for line in lines[1:3]] == ["0.5", "0.25"]
+        assert lines[3:] == ["# tau 1.0: diverged at step 1"]
+
+    def test_rungs_compute_no_diagnostics(self, monkeypatch):
+        def no_diagnostics(*_args):
+            raise AssertionError("a study rung computed a diagnostic")
+        for name in ("energy", "mass", "max_norm"):
+            monkeypatch.setattr(harness, name, no_diagnostics)
+        rep = convergence_study(RunConfig(model="nls_linear", nx=16, t_final=0.2),
+                                [0.1, 0.05], "exact")
+        assert rep.status == "ok" and len(rep.errors_inf) == 2
 
 
 class TestRandomGrids:
@@ -460,8 +522,8 @@ class TestRandomGrids:
         assert a == b
 
     def test_random_grid_convergence(self):
-        rep = random_grid_study("nls_linear", "s3_2", [6, 12, 24, 48], "exact",
-                                t_final=0.4, nx=256, seed=1)
+        rep = random_grid_study(RunConfig(model="nls_linear", scheme="s3_2", nx=256,
+                                          t_final=0.4), [6, 12, 24, 48], "exact", seed=1)
         assert all(t1 > t2 for t1, t2 in zip(rep.taus, rep.taus[1:]))
         assert all(e1 > e2 for e1, e2 in zip(rep.errors_inf, rep.errors_inf[1:]))
         assert rep.rates[-1] > 2.0
