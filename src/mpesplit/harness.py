@@ -305,6 +305,7 @@ def _study(config: RunConfig, taus, step_lists, reference) -> ConvergenceReport:
         diff = np.abs(state - ref_state)
         errors_inf.append(float(diff.max()))
         errors_l2.append(float(math.sqrt(grid.h**grid.dim * float((diff**2).sum()))))
+        del state, diff  # the next rung holds only u0 and its own state
     report = ConvergenceReport(taus[:len(errors_inf)], errors_inf, [], errors_l2, status, reason)
     report.rates = report.recompute_rates()
     return report
