@@ -96,9 +96,8 @@ def _cmd_preset(args) -> int:
 def _cmd_converge(args) -> int:
     cfg = _run_config_from_args(args, harness.RunConfig())
     harness.checked_scheme(cfg)  # refuse before the reference run, not after
-    if args.reference == "exact":
-        reference = "exact"
-    else:
+    reference = args.reference
+    if reference == "self":
         ref = harness.run(replace(cfg, scheme=args.ref_scheme, tau=args.ref_tau, out_dir=None))
         if ref.status != "ok":
             print(f"error: reference run {ref.reason}", file=sys.stderr)

@@ -118,7 +118,7 @@ def checked_scheme(config: RunConfig):
 
 
 def _setup(config: RunConfig):
-    """(model, grid, scheme, flows, u0) of a run or a study."""
+    """(model, grid, scheme, flows) of a run or a study."""
     if not (math.isfinite(config.t_final) and config.t_final >= 0):
         raise ValueError(f"final time must be finite and >= 0, got {config.t_final}")
     if config.diagnostics_every < 1:
@@ -127,7 +127,7 @@ def _setup(config: RunConfig):
     grid = default_grid(model, config.nx)
     scheme = checked_scheme(config)
     flows = flow_pair(model, grid, config.rk_substeps, config.allow_backward)
-    return model, grid, scheme, flows, initial_condition(model, grid)
+    return model, grid, scheme, flows
 
 
 def _timed(steps, t_end):
@@ -165,7 +165,7 @@ def _march(scheme, flows, state, t_end, steps, hook=None):
 
 
 def run(config: RunConfig) -> RunRecord:
-    model, grid, scheme, flows, u0 = _setup(config)
+    model, grid, scheme, flows = _setup(config)
     if config.adaptive:
         controller = StepController(config.tau_min, config.tau_max, config.alpha)
         steps = _adaptive_steps(controller, config.t_final)
@@ -187,8 +187,8 @@ def run(config: RunConfig) -> RunRecord:
         if step and model.monitor is not None:  # the state of each step, on the caller
             return model.monitor(model, step, max_norm(state))
 
-    state, step, t, tau, status, reason = _march(scheme, flows, u0, config.t_final,
-                                                 steps, each_step)
+    state, step, t, tau, status, reason = _march(  # no name here keeps the first state
+        scheme, flows, initial_condition(model, grid), config.t_final, steps, each_step)
     if in_flight is not None:
         rows.append(in_flight.result())
     if status == "diverged":
@@ -287,7 +287,8 @@ def _steps_for(tau, t_final):
 def _study(config: RunConfig, taus, step_lists, reference) -> ConvergenceReport:
     """Errors of runs over each step list against the reference; the report
     lists them against taus, up to the first rung that diverged."""
-    model, grid, scheme, flows, u0 = _setup(config)
+    model, grid, scheme, flows = _setup(config)
+    u0 = initial_condition(model, grid)
     if isinstance(reference, str):
         if reference != "exact":
             raise ValueError("reference must be 'exact' or a state array")

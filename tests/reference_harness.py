@@ -10,10 +10,12 @@ import math
 import numpy as np
 
 from mpesplit import harness
+from mpesplit.models import initial_condition
 
 
 def run_serial(config):
-    model, grid, scheme, flows, state = harness._setup(config)
+    model, grid, scheme, flows = harness._setup(config)
+    state = initial_condition(model, grid)
     monitor = model.monitor
 
     rows = [harness._diag_row(model, 0, 0.0, 0.0, state, grid)]
@@ -59,7 +61,8 @@ def run_serial(config):
 def study_serial(config, step_lists, ref_state):
     """(errors_inf, errors_l2) of a plain `apply` loop over each step list
     against ref_state, as the convergence studies compute them."""
-    _, grid, scheme, flows, u0 = harness._setup(config)
+    model, grid, scheme, flows = harness._setup(config)
+    u0 = initial_condition(model, grid)
     errors_inf, errors_l2 = [], []
     for steps in step_lists:
         state = u0

@@ -462,7 +462,7 @@ class TestStudyLoop:
         config = RunConfig(model="nls_linear", scheme="s4_2", nx=32, t_final=0.5)
         taus = [0.3, 0.2, 0.1, 0.05]  # 0.3 ends with a shortened step
         rep = convergence_study(config, taus, "exact")
-        model, grid, *_ = harness._setup(config)
+        model, grid, _, _ = harness._setup(config)
         ref_state = models.exact_solution(model, config.t_final, grid)
         errors_inf, errors_l2 = study_serial(config, [_steps_for(t, 0.5) for t in taus],
                                              ref_state)
