@@ -41,7 +41,28 @@ def _param(text: str) -> tuple:
     return key, _parse_number(val)
 
 
+# the JSON values a RunConfig field of each annotation takes, as an error names them
+_JSON_KINDS = {"int": "an integer", "float": "a number", "bool": "true or false",
+               "str": "a string", "dict": "an object of numbers"}
+
+
+def _fits(value, annotation: str) -> bool:
+    """Whether a JSON value fits a RunConfig field of this annotation. JSON
+    true and false load as bools, which Python counts as ints; here they
+    are neither integers nor numbers."""
+    kind, _, rest = annotation.partition(" | ")
+    if value is None:
+        return rest == "None"
+    if isinstance(value, bool):
+        return kind == "bool"
+    if kind == "dict":  # overrides: model parameters and their values
+        return isinstance(value, dict) and all(_fits(v, "float") for v in value.values())
+    return isinstance(value, {"int": int, "float": (int, float), "bool": bool, "str": str}[kind])
+
+
 def _load_config(path: str) -> harness.RunConfig:
+    """The RunConfig of a JSON file, which comes from outside the program:
+    a value whose JSON type does not fit its field raises ValueError."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -49,6 +70,12 @@ def _load_config(path: str) -> harness.RunConfig:
         raise ValueError(f"config {path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"config {path}: {exc}") from None
+    for f in fields(harness.RunConfig) if isinstance(doc, dict) else ():
+        if f.name in doc and not _fits(doc[f.name], f.type):
+            kind, _, rest = f.type.partition(" | ")
+            wanted = _JSON_KINDS[kind] + (" or null" if rest else "")
+            raise ValueError(f"config {path}: {f.name} must be {wanted}, "
+                             f"got {json.dumps(doc[f.name])}")
     try:
         return harness.RunConfig(**doc)
     except TypeError as exc:  # not an object, or a key RunConfig lacks
@@ -98,11 +125,11 @@ def _cmd_converge(args) -> int:
     harness.checked_scheme(cfg)  # refuse before the reference run, not after
     reference = args.reference
     if reference == "self":
-        ref = harness.run(replace(cfg, scheme=args.ref_scheme, tau=args.ref_tau, out_dir=None))
-        if ref.status != "ok":
-            print(f"error: reference run {ref.reason}", file=sys.stderr)
+        reference, status, reason = harness.run_state(
+            replace(cfg, scheme=args.ref_scheme, tau=args.ref_tau))
+        if status != "ok":
+            print(f"error: reference run {reason}", file=sys.stderr)
             return 3
-        reference = ref.final_state
     report = (harness.convergence_study(cfg, args.taus, reference) if args.taus else
               harness.random_grid_study(cfg, args.random_n, reference, seed=args.seed))
     text = harness.convergence_csv(report)

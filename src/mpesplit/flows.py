@@ -168,13 +168,17 @@ def truncate_double_well(u, M: float, out=None, work=None, test_window: bool = T
 
 
 def fkpp_constant(p: int = 5, q: int = 5) -> float:
-    """K_pq = Gamma(p+q+2) / (Gamma(p+1) Gamma(q+1)), exact in integers."""
+    """K = Gamma(p+q+2) / (Gamma(p+1) Gamma(q+1)), exact in integers."""
     return math.factorial(p + q + 1) // (math.factorial(p) * math.factorial(q))
 
 
-def truncate_fkpp(u, M: float, p: int = 5, q: int = 5, K_pq: float | None = None,
-                  out=None, work=None, test_window: bool = True):
-    """K u^5 (1-u)^5 continued linearly outside [-M, M], branches as printed.
+# K of the printed truncation, whose branches are those of p = q = 5
+FKPP_K = fkpp_constant(5, 5)
+
+
+def truncate_fkpp(u, M: float, out=None, work=None, test_window: bool = True):
+    """K u^5 (1-u)^5 continued linearly outside [-M, M], branches as printed,
+    with K = `FKPP_K`.
 
     The linear continuations are specific to p = q = 5. Each is the tangent
     at its knot, slope 5 K M^4 (1-M)^4 (1-2M) above M and
@@ -192,9 +196,7 @@ def truncate_fkpp(u, M: float, p: int = 5, q: int = 5, K_pq: float | None = None
     the tails do; a slope that overflowed makes it NaN, as it makes them.)
     test_window=False clips without testing, as in `truncate_double_well`.
     """
-    if (p, q) != (5, 5):
-        raise NotImplementedError("truncation branches are printed for p = q = 5 only")
-    K = fkpp_constant(p, q) if K_pq is None else K_pq
+    K = FKPP_K
     u, out, w = _buffers(u, out, work)
     m4 = M**4
     slope_up = 5.0 * K * m4 * (1.0 - M) ** 4 * (1.0 - 2.0 * M)

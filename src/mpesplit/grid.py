@@ -30,8 +30,7 @@ from scipy import fft as _fft
 
 
 class SpectralGrid:
-    """Uniform periodic grid on [0, L)^2 with precomputed Fourier symbols;
-    `dim` is always 2, and any other value is rejected.
+    """Uniform periodic grid on [0, L)^2 with precomputed Fourier symbols.
 
     Wavenumber layout per axis follows the standard FFT order
     0, 1, ..., N/2-1, -N/2, -N/2+1, ..., -1 (the Nyquist slot holds -N/2).
@@ -52,14 +51,11 @@ class SpectralGrid:
     grid, for the diagnostics that need it; it is built on first use.
     """
 
-    def __init__(self, dim: int, n_per_axis: int, length: float):
-        if dim != 2:
-            raise ValueError(f"dim must be 2, got {dim}")
+    def __init__(self, n_per_axis: int, length: float):
         if n_per_axis < 2 or n_per_axis % 2 != 0:
             raise ValueError(f"n_per_axis must be even and >= 2, got {n_per_axis}")
         if not (length > 0):
             raise ValueError(f"length must be positive, got {length}")
-        self.dim = dim
         self.n = int(n_per_axis)
         self.length = float(length)
         self.h = self.length / self.n
@@ -78,7 +74,7 @@ class SpectralGrid:
 
     @property
     def shape(self):
-        return (self.n,) * self.dim
+        return (self.n, self.n)
 
     @cached_property
     def laplacian_symbols(self):
@@ -88,18 +84,13 @@ class SpectralGrid:
         """Nodes of one axis, starting at 0."""
         return self.h * np.arange(self.n)
 
-    def nodes(self):
-        """Meshgrid of node coordinates, ij indexing, origin at 0."""
-        x = self.axis_points()
-        return np.meshgrid(x, x, indexing="ij")
-
     def forward(self, values: np.ndarray) -> np.ndarray:
         """Unnormalized forward DFT."""
         return _fft.fftn(values)
 
     def integrate(self, values: np.ndarray) -> float | complex:
-        """Rectangle rule h^dim * sum, spectrally accurate for periodic data."""
-        return self.h**self.dim * values.sum()
+        """Rectangle rule h^2 * sum, spectrally accurate for periodic data."""
+        return self.h**2 * values.sum()
 
     def grad_sq_integral(self, values: np.ndarray) -> float:
         """Integral of |grad u|^2 for a real state, by Parseval from one real
@@ -112,7 +103,7 @@ class SpectralGrid:
         power = np.square(spec.real)
         power += spec.imag
         power *= self._grad_sq_half
-        return float(np.sum(power)) * (self.h / self.n) ** self.dim
+        return float(np.sum(power)) * (self.h / self.n) ** 2
 
     def __eq__(self, other):
         return (
@@ -122,11 +113,7 @@ class SpectralGrid:
         )
 
     def __repr__(self):
-        return f"SpectralGrid(dim={self.dim}, n={self.n}, length={self.length})"
-
-
-def make_grid(dim: int, n_per_axis: int, length: float) -> SpectralGrid:
-    return SpectralGrid(dim, n_per_axis, length)
+        return f"SpectralGrid(n={self.n}, length={self.length})"
 
 
 def _scale_by_axes(spec: np.ndarray, c: complex, k2_first: np.ndarray,
@@ -200,15 +187,10 @@ def save_field(basepath: str, grid: SpectralGrid, values: np.ndarray) -> None:
     <basepath>.json with {dim, n, length, scalar_kind}; the kind is that of
     the values' dtype."""
     kind = "complex" if np.iscomplexobj(values) else "real"
-    if kind == "complex":
-        flat = np.empty(2 * values.size, dtype="<f8")
-        flat[0::2] = values.ravel().real
-        flat[1::2] = values.ravel().imag
-    else:
-        flat = np.ascontiguousarray(values.ravel(), dtype="<f8")
+    flat = np.ascontiguousarray(values, dtype="<c16" if kind == "complex" else "<f8")
     with open(basepath + ".bin", "wb") as fh:
         fh.write(flat.tobytes())
-    sidecar = {"dim": grid.dim, "n": grid.n, "length": grid.length, "scalar_kind": kind}
+    sidecar = {"dim": 2, "n": grid.n, "length": grid.length, "scalar_kind": kind}
     with open(basepath + ".json", "w") as fh:
         json.dump(sidecar, fh, indent=1)
         fh.write("\n")
@@ -220,7 +202,9 @@ def load_field(basepath: str) -> tuple[SpectralGrid, np.ndarray]:
     kind, or a .bin whose length does not fit them, raises ValueError."""
     with open(basepath + ".json") as fh:
         meta = json.load(fh)
-    grid = make_grid(meta["dim"], meta["n"], meta["length"])
+    if meta["dim"] != 2:
+        raise ValueError(f"dim must be 2, got {meta['dim']}")
+    grid = SpectralGrid(meta["n"], meta["length"])
     kind = meta["scalar_kind"]
     if kind not in ("real", "complex"):
         raise ValueError(f"bad scalar_kind {kind!r} in {basepath}.json")

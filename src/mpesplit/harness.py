@@ -10,10 +10,12 @@ run's per-step hook hands each kept diagnostics row to the helper thread
 most one row in flight; feeds the adaptive controller, which waits for the
 row's energy; and asks the model's monitor (the max-norm bound of
 `rd_system`), which stops the run as "monitor" when it returns a reason.
-A stopped run keeps its rows and the state of the step it stopped at, and
-a stopped study the rungs that finished. Rows and final states are those of
-a serial loop; a row's error surfaces at the next wait, so it can come
-after an error of the step that followed it.
+`run_state` marches a fixed-step run with the monitor alone, for a caller
+that needs only the state it ends with. A stopped run keeps its rows and
+the state of the step it stopped at, and a stopped study the rungs that
+finished. Rows and final states are those of a serial loop; a row's error
+surfaces at the next wait, so it can come after an error of the step that
+followed it.
 """
 
 from __future__ import annotations
@@ -164,6 +166,14 @@ def _march(scheme, flows, state, t_end, steps, hook=None):
             return state, step, t, tau, "diverged", f"diverged at step {step}"
 
 
+def _monitor_reason(model, step, state):
+    """The model's monitor on the state of a step after the first, on the
+    caller: a reason to stop, or None."""
+    if step and model.monitor is not None:
+        return model.monitor(model, step, max_norm(state))
+    return None
+
+
 def run(config: RunConfig) -> RunRecord:
     model, grid, scheme, flows = _setup(config)
     if config.adaptive:
@@ -184,8 +194,7 @@ def run(config: RunConfig) -> RunRecord:
                 controller.record(t, in_flight.result()[3])
                 if not keep:
                     in_flight = None
-        if step and model.monitor is not None:  # the state of each step, on the caller
-            return model.monitor(model, step, max_norm(state))
+        return _monitor_reason(model, step, state)
 
     state, step, t, tau, status, reason = _march(  # no name here keeps the first state
         scheme, flows, initial_condition(model, grid), config.t_final, steps, each_step)
@@ -199,6 +208,21 @@ def run(config: RunConfig) -> RunRecord:
     if config.out_dir:
         write_record(record, grid, timestamp=datetime.now(timezone.utc).isoformat())
     return record
+
+
+def run_state(config: RunConfig):
+    """(state, status, reason) where config's fixed-step run stops, as `run`
+    would return them, marched with the model's monitor and no diagnostics
+    rows; an adaptive config, whose steps need the rows' energies, raises
+    ValueError."""
+    if config.adaptive:
+        raise ValueError("run_state takes fixed steps only, not an adaptive config")
+    model, grid, scheme, flows = _setup(config)
+    steps = _timed(_steps_for(config.tau, config.t_final), config.t_final)
+    state, *_, status, reason = _march(
+        scheme, flows, initial_condition(model, grid), config.t_final, steps,
+        lambda step, t, tau, state, last: _monitor_reason(model, step, state))
+    return state, status, reason
 
 
 def _fmt(x: float) -> str:
@@ -305,7 +329,7 @@ def _study(config: RunConfig, taus, step_lists, reference) -> ConvergenceReport:
             break
         diff = np.abs(state - ref_state)
         errors_inf.append(float(diff.max()))
-        errors_l2.append(float(math.sqrt(grid.h**grid.dim * float((diff**2).sum()))))
+        errors_l2.append(math.sqrt(grid.integrate(diff**2)))
         del state, diff  # the next rung holds only u0 and its own state
     report = ConvergenceReport(taus[:len(errors_inf)], errors_inf, [], errors_l2, status, reason)
     report.rates = report.recompute_rates()

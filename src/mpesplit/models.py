@@ -22,7 +22,6 @@ import numpy as np
 
 from .flows import (
     conservative_rhs,
-    fkpp_constant,
     flow_double_well,
     flow_phase,
     flow_tanh,
@@ -31,7 +30,7 @@ from .flows import (
     truncate_double_well,
     truncate_fkpp,
 )
-from .grid import SpectralGrid, linear_propagate, make_grid
+from .grid import SpectralGrid, linear_propagate
 from .schemes import FlowPair
 
 
@@ -174,14 +173,11 @@ def _fkpp_b_flow(model, grid, substeps):
     p, q = model.params["p"], model.params["q"]
     if (p, q) != (5, 5):  # --param values arrive as floats; 5.0 passes
         raise ValueError(f"fkpp truncation is printed for p = q = 5 only, got p={p}, q={q}")
-    p, q = int(p), int(q)
-    K = fkpp_constant(p, q)
 
     def b_flow(tau, u):
         test = in_window(u, M)  # as in the cac B flow
         out, work = _workspace(u), _workspace(u)
-        return ssprk104(lambda x: truncate_fkpp(x, M, p, q, K, out, work, test), u, tau,
-                        substeps)
+        return ssprk104(lambda x: truncate_fkpp(x, M, out, work, test), u, tau, substeps)
 
     return b_flow
 
@@ -344,7 +340,7 @@ def make_model(model_id: str, **overrides) -> ModelSpec:
 
 
 def default_grid(model: ModelSpec, n: int | None = None) -> SpectralGrid:
-    return make_grid(2, n or model.n_default, model.length)
+    return SpectralGrid(n or model.n_default, model.length)
 
 
 def model_nu(model: ModelSpec):
@@ -353,8 +349,8 @@ def model_nu(model: ModelSpec):
 
 
 def _coords(model: ModelSpec, grid: SpectralGrid):
-    X, Y = grid.nodes()
-    return X + model.x0, Y + model.x0
+    x = grid.axis_points() + model.x0
+    return np.meshgrid(x, x, indexing="ij")
 
 
 def initial_condition(model: ModelSpec, grid: SpectralGrid) -> np.ndarray:

@@ -293,25 +293,16 @@ def _defects_extended(scheme: SplitScheme, oracle: MatrixOraclePair, taus):
 
 
 def reversibility_defect(term, oracle: MatrixOraclePair | None = None, tau: float = 0.1) -> float:
-    """|| S(tau) S(-tau) - I || in the spectral norm, for a single product chain."""
+    """|| S(tau) S(-tau) - I || in the spectral norm, for a single product
+    chain: a `Term`, or a scheme with one term. Each S is `apply` of the
+    chain alone, with weight 1, to the identity matrix."""
     oracle = oracle or make_matrix_oracle()
     if isinstance(term, SplitScheme):
         if len(term.terms) != 1:
             raise ValueError("reversibility_defect expects a single-term scheme")
-        stages = term.terms[0].stages
-    elif isinstance(term, Term):
-        stages = term.stages
-    else:
-        stages = tuple((F(a), F(b)) for a, b in term)
-
-    def chain(t):
-        S = np.eye(oracle.dimension)
-        for a, b in stages:
-            if a != 0:
-                S = _expm_pade(float(a) * t * oracle.A) @ S
-            if b != 0:
-                S = _expm_pade(float(b) * t * oracle.B) @ S
-        return S
-
-    D = chain(tau) @ chain(-tau) - np.eye(oracle.dimension)
+        term = term.terms[0]
+    chain = SplitScheme("chain", 1, (Term(F(1), term.stages),), "spe")
+    flows = matrix_flows(oracle)
+    eye = np.eye(oracle.dimension)
+    D = apply(chain, flows, tau, eye) @ apply(chain, flows, -tau, eye) - eye
     return float(np.linalg.norm(D, 2))

@@ -44,7 +44,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import linear_propagate, make_grid
+from .grid import SpectralGrid, linear_propagate
 
 F = Fraction
 
@@ -262,7 +262,7 @@ def _warm_up():
     state-sized blocks of a large grid and split the holes later blocks
     need; with diagnostics rows on the helper, that raised the peak memory
     of a 1024^2 `ac` run by one or two states in most runs."""
-    grid = make_grid(2, 16, 1.0)
+    grid = SpectralGrid(16, 1.0)
     grid.grad_sq_integral(linear_propagate(np.full(grid.shape, 0.5), 1.0, 0.1, grid))
 
 

@@ -70,5 +70,5 @@ def study_serial(config, step_lists, ref_state):
             state = harness.apply(scheme, flows, tau, state)
         diff = np.abs(state - ref_state)
         errors_inf.append(float(diff.max()))
-        errors_l2.append(float(math.sqrt(grid.h**grid.dim * float((diff**2).sum()))))
+        errors_l2.append(float(math.sqrt(grid.h**2 * float((diff**2).sum()))))
     return errors_inf, errors_l2

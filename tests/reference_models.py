@@ -30,7 +30,7 @@ def ac_initial_on_mesh(eps, X, Y):
 def grad_sq_integral(grid, values):
     spec = _fft.rfftn(values)
     power = spec.real**2 + spec.imag**2
-    return float(np.sum(grid._grad_sq_half * power)) * (grid.h / grid.n) ** grid.dim
+    return float(np.sum(grid._grad_sq_half * power)) * (grid.h / grid.n) ** 2
 
 
 def double_well_energy(eps, state, grid):

@@ -1,8 +1,11 @@
-"""Reference implementation of the scheme engine, for differential tests:
+"""Reference implementations of the scheme engine, for differential tests:
 each term's chain of substeps, then the compensated combine with a fresh
-array for every operation."""
+array for every operation; and the reversibility defect of one chain with
+its matrix exponentials multiplied up by hand."""
 
 import numpy as np
+
+from mpesplit.order import _expm_pade
 
 
 def apply_allocating(scheme, flows, tau, state):
@@ -25,3 +28,20 @@ def apply_allocating(scheme, flows, tau, state):
         comp = (t - acc) - y
         acc = t
     return acc
+
+
+def reversibility_defect_by_hand(stages, oracle, tau):
+    """|| S(tau) S(-tau) - I || in the spectral norm, each S the product of
+    the chain's exponentials of a * t * A and b * t * B, zeros skipped."""
+
+    def chain(t):
+        S = np.eye(oracle.dimension)
+        for a, b in stages:
+            if a != 0:
+                S = _expm_pade(float(a) * t * oracle.A) @ S
+            if b != 0:
+                S = _expm_pade(float(b) * t * oracle.B) @ S
+        return S
+
+    D = chain(tau) @ chain(-tau) - np.eye(oracle.dimension)
+    return float(np.linalg.norm(D, 2))

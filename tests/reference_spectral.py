@@ -6,7 +6,9 @@ transform, the NLS energy with its gradient term integrated as
 -eps * conj(u) * Laplacian(u) on the grid, the spectral gradient through
 the full complex transform, the inverse real transform of a half spectrum
 in one `irfftn` call, and the propagator of one state in its own
-transform, called once per component of a system.
+transform, called once per component of a system. Also the node
+coordinates as one meshgrid with its origin at 0, and a complex state's
+file bytes with each part copied into alternate slots on its own.
 """
 
 import math
@@ -18,8 +20,8 @@ from scipy import fft as _fft
 def laplacian_on_grid(grid):
     """lambda = sum over axes of (2 pi p / L)^2, on the whole grid."""
     k = 2.0 * math.pi / grid.length * np.fft.fftfreq(grid.n, d=1.0 / grid.n)
-    axes = np.meshgrid(*([k] * grid.dim), indexing="ij")
-    return sum(kx**2 for kx in axes)
+    kx, ky = np.meshgrid(k, k, indexing="ij")
+    return kx**2 + ky**2
 
 
 def propagate_full(values, nu, tau, grid):
@@ -39,7 +41,7 @@ def nls_energy_on_grid(eps, rho, omega, state, grid):
     lap = np.fft.ifftn(-laplacian_on_grid(grid) * np.fft.fftn(state))
     mod2 = state.real**2 + state.imag**2
     dens = -eps * np.conj(state) * lap - omega * mod2 - 0.5 * rho * mod2**2
-    return grid.h**grid.dim * dens.sum()
+    return grid.h**2 * dens.sum()
 
 
 def gradient(grid, values):
@@ -69,8 +71,7 @@ def propagate_one(values, nu, tau, grid):
     real = np.isrealobj(values) and nu.imag == 0
     c = -tau * (nu.real if real else nu)
     spec = _fft.rfftn(values) if real else _fft.fftn(values)
-    if grid.dim == 2:
-        spec *= np.exp(c * grid._k2)[:, None]
+    spec *= np.exp(c * grid._k2)[:, None]
     spec *= np.exp(c * (grid._k2_half if real else grid._k2))
     return _fft.irfftn(spec, s=np.shape(values)) if real else _fft.ifftn(spec)
 
@@ -79,3 +80,18 @@ def propagate_each_component(values, nus, tau, grid):
     """`propagate_one` of each component with its own nu, stacked along the
     leading axis."""
     return np.stack([propagate_one(c, nu, tau, grid) for c, nu in zip(values, nus)])
+
+
+def nodes(grid):
+    """Meshgrid of node coordinates, ij indexing, origin at 0."""
+    x = grid.axis_points()
+    return np.meshgrid(x, x, indexing="ij")
+
+
+def interleaved(values):
+    """A complex state as little-endian float64 bytes, the real and the
+    imaginary part of each value side by side, each part copied on its own."""
+    flat = np.empty(2 * values.size, dtype="<f8")
+    flat[0::2] = values.ravel().real
+    flat[1::2] = values.ravel().imag
+    return flat.tobytes()

@@ -3,13 +3,15 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mpesplit
-from mpesplit.cli import _parse_number, main
+from mpesplit import harness
+from mpesplit.cli import _load_config, _parse_number, main
 from mpesplit.grid import load_field
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -228,6 +230,18 @@ class TestPreset:
         assert doc["overrides"] == {"M": 1.0} and doc["rk_substeps"] == 2
         assert doc["model"] == "fkpp"
 
+    @pytest.mark.parametrize("name", harness.preset_names())
+    @pytest.mark.parametrize("extra", [(), ("--param", "M=2", "--nx", "32", "--out", "d")])
+    def test_dry_run_loads_as_config(self, capsys, tmp_path, name, extra):
+        code, out, _ = run_cli(capsys, "preset", name, "--dry-run", *extra)
+        assert code == 0
+        path = tmp_path / "config.json"
+        path.write_text(out)
+        cfg = harness.preset(name)
+        if extra:
+            cfg = replace(cfg, overrides={"M": 2.0}, nx=32, out_dir="d")
+        assert _load_config(str(path)) == cfg
+
     def test_model_flag_rejected(self):
         with pytest.raises(SystemExit) as exc:
             main(["preset", "fkpp", "--dry-run", "--model", "ac"])
@@ -265,6 +279,21 @@ class TestConverge:
         assert code == 0
         rate = float(out.strip().split("\n")[2].split(",")[2])
         assert 0.5 < rate < 1.5
+
+    def test_self_reference_computes_no_rows(self, capsys, monkeypatch):
+        # the table of a study against the final state of a full `run`,
+        # while the reference run itself computes no energy
+        cfg = harness.RunConfig(model="toy", scheme="lie1", nx=32, t_final=0.4)
+        ref = harness.run(replace(cfg, scheme="s4_2", tau=0.02)).final_state
+        expected = harness.convergence_csv(harness.convergence_study(cfg, [0.2, 0.1], ref))
+        calls = []
+        energy = harness.energy
+        monkeypatch.setattr(harness, "energy", lambda *a: calls.append(1) or energy(*a))
+        code, out, _ = run_cli(capsys, "converge", "--model", "toy",
+                               "--scheme", "lie1", "--nx", "32",
+                               "--taus", "0.2,0.1", "--tfinal", "0.4",
+                               "--ref-scheme", "s4_2", "--ref-tau", "0.02")
+        assert (code, out, calls) == (0, expected, [])
 
     def test_random_grids(self, capsys):
         code, out, _ = run_cli(capsys, "converge", "--model", "nls_linear",
@@ -346,7 +375,7 @@ class TestConverge:
     def test_backward_scheme_refused_before_self_reference(self, capsys, monkeypatch):
         def no_run(*_args, **_kwargs):
             raise AssertionError("reference integrated before the scheme was checked")
-        monkeypatch.setattr("mpesplit.harness.run", no_run)
+        monkeypatch.setattr("mpesplit.harness.run_state", no_run)
         code, _, err = run_cli(capsys, "converge", "--model", "nls_linear",
                                "--scheme", "s4_neg", "--nx", "16", "--taus", "0.2,0.1",
                                "--tfinal", "1", "--reference", "self")
@@ -455,6 +484,23 @@ class TestRuntimeErrors:
          "diagnostics_every must be >= 1"),
         (("run", "--config", '{"model": "toy", "nx": 16, "diagnostics_every": -2}'),
          "diagnostics_every must be >= 1"),
+        # a value whose JSON type does not fit its field
+        (("run", "--config", '{"model": "toy", "nx": 16, "tau": 0.1, "t_final": 0.6, '
+                             '"diagnostics_every": 1.5}'), "diagnostics_every must be an integer"),
+        (("run", "--config", '{"diagnostics_every": "3"}'), "diagnostics_every must be an integer"),
+        (("run", "--config", '{"t_final": "1"}'), "t_final must be a number"),
+        (("run", "--config", '{"tau": "0.1"}'), "tau must be a number"),
+        (("run", "--config", '{"nx": "16"}'), "nx must be an integer or null"),
+        (("run", "--config", '{"overrides": [1]}'), "overrides must be an object of numbers"),
+        (("run", "--config", '{"adaptive": "yes"}'), "adaptive must be true or false"),
+        (("run", "--config", '{"nx": true}'), "nx must be an integer or null, got true"),
+        (("run", "--config", '{"tau": false}'), "tau must be a number, got false"),
+        (("run", "--config", '{"overrides": {"eps": "0.1"}}'),
+         'overrides must be an object of numbers, got {"eps": "0.1"}'),
+        (("run", "--config", '{"overrides": {"eps": true}}'), "overrides must be"),
+        (("run", "--config", '{"model": null}'), "model must be a string, got null"),
+        (("run", "--config", '{"out_dir": 3}'), "out_dir must be a string or null"),
+        (("run", "--config", '{"rk_substeps": 4.0}'), "rk_substeps must be an integer"),
     ])
     def test_reported_and_exit_2(self, capsys, tmp_path, argv, reason):
         if "--config" in argv:  # the JSON text after --config goes to a file

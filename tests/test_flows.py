@@ -305,10 +305,6 @@ class TestTruncations:
         mid_neg = K * (-M) ** 5 * (1.0 + M) ** 5
         assert lower == pytest.approx(mid_neg, rel=1e-9)
 
-    def test_fkpp_unsupported_exponents(self):
-        with pytest.raises(NotImplementedError):
-            truncate_fkpp(0.5, 6.0, p=3, q=5)
-
     def test_fkpp_tails_linear_and_derivative_bounded(self):
         u = np.linspace(-60, 60, 240001)
         f = truncate_fkpp(u, 6.0)
@@ -408,14 +404,16 @@ class TestRhsShortcuts:
         """(package, reference) pairs of the two truncations."""
         return [(lambda u, **kw: truncate_double_well(u, M, **kw),
                  lambda u: double_well_with_tail(u, M)),
-                (lambda u, **kw: truncate_fkpp(u, M, K_pq=K, **kw),
+                (lambda u, **kw: truncate_fkpp(u, M, **kw),
                  lambda u: fkpp_with_tails(u, M, K))]
 
     # M = 0.3: the double-well slope and both FKPP slopes are positive;
-    # K < 0 with M = 0.3 makes both FKPP slopes negative, so the tails add -0
+    # K < 0 with M = 0.3 makes both FKPP slopes negative, so the tails add -0.
+    # No model has K < 0; it is patched in to check the skip on that sign too
     @pytest.mark.parametrize("M,K", [(0.3, 2772.0), (0.3, -1.5), (0.5, 2772.0),
                                      (1.0, 2772.0), (6.0, 2772.0)])
-    def test_inside_window_bytes(self, M, K):
+    def test_inside_window_bytes(self, M, K, monkeypatch):
+        monkeypatch.setattr(flows, "FKPP_K", K)
         rng = np.random.default_rng(20)
         inside = np.concatenate([self._edge_values(M), rng.uniform(-M, M, 400_000)])
         assert inside.max() <= M and inside.min() >= -M

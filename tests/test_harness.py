@@ -508,6 +508,35 @@ class TestStudyLoop:
         assert rep.status == "ok" and len(rep.errors_inf) == 2
 
 
+class TestRunState:
+    """`run_state` ends where `run` does, with its state, status and reason,
+    and computes no diagnostics row on the way."""
+
+    @pytest.mark.parametrize("config,status", [
+        (RunConfig(model="toy", scheme="s4_2", nx=32, tau=0.03, t_final=0.4), "ok"),
+        (RunConfig(model="ac", scheme="s4_neg", nx=16, tau=1.0, t_final=2.0,
+                   allow_backward=True), "diverged"),
+        (RunConfig(model="rd_system", scheme="lie1", nx=32, tau=1e-3, t_final=0.01,
+                   overrides={"M": 1.0}), "monitor"),
+        (RunConfig(model="nls_nonlinear", scheme="s6", nx=16, tau=0.1, t_final=0.3,
+                   diagnostics_every=2), "ok"),
+    ], ids=["ok", "diverged", "monitor", "complex"])
+    def test_matches_run(self, config, status, monkeypatch):
+        with np.errstate(all="ignore"):
+            rec = run(config)
+            monkeypatch.setattr(harness, "energy", lambda *_args: pytest.fail("a row"))
+            state, got_status, reason = harness.run_state(config)
+        assert (got_status, reason) == (rec.status, rec.reason)
+        assert rec.status == status
+        assert state.dtype == rec.final_state.dtype
+        assert state.tobytes() == rec.final_state.tobytes()
+
+    def test_adaptive_config_refused(self):
+        config = harness.preset("cac_adaptive", nx=16, t_final=0.1)
+        with pytest.raises(ValueError, match="fixed steps only"):
+            harness.run_state(config)
+
+
 class TestRandomGrids:
     def test_subdivisions_partition_interval(self):
         rng = np.random.default_rng(5)

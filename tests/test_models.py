@@ -5,7 +5,7 @@ import pytest
 
 from mpesplit import models
 from mpesplit.flows import fkpp_constant
-from mpesplit.grid import make_grid
+from mpesplit.grid import SpectralGrid
 from mpesplit.models import (
     default_grid,
     energy,
@@ -26,7 +26,7 @@ from reference_flows import (
     reaction_rhs,
     ssprk104_loop,
 )
-from reference_spectral import gradient, nls_energy_on_grid, propagate_each_component
+from reference_spectral import gradient, nls_energy_on_grid, nodes, propagate_each_component
 import reference_models
 
 MPE_SCHEMES = ["sws2", "s3_1", "s3_2", "s4_1", "s4_2", "s4_3", "s4_4",
@@ -34,7 +34,7 @@ MPE_SCHEMES = ["sws2", "s3_1", "s3_2", "s4_1", "s4_2", "s4_3", "s4_4",
 
 
 def grid_for(model, n):
-    return make_grid(2, n, model.length)
+    return SpectralGrid(n, model.length)
 
 
 class TestRegistry:
@@ -209,6 +209,22 @@ class TestExactSolutions:
         assert l2 <= 1e-8
 
 
+class TestShiftedCoordinates:
+    """The NLS formulas on `_coords` against the formulas on the meshgrid of
+    the nodes from 0, shifted by the model's origin, byte for byte."""
+
+    @pytest.mark.parametrize("n", [16, 64, 256, 400])
+    @pytest.mark.parametrize("name", ["nls_linear", "nls_nonlinear"])
+    def test_bit_identical_to_shifted_meshgrid(self, name, n):
+        m = make_model(name)
+        g = grid_for(m, n)
+        X, Y = nodes(g)
+        X, Y = X + m.x0, Y + m.x0
+        for t in (0.0, 0.3):
+            assert exact_solution(m, t, g).tobytes() == m.exact(t, X, Y).tobytes()
+        assert potential(m, g).tobytes() == m.potential(X, Y).tobytes()
+
+
 class TestPotential:
     def test_linear_trap_at_origin(self):
         m = make_model("nls_linear")
@@ -241,7 +257,7 @@ class TestEnergy:
         # (0.01 + 0.375) pi^2
         m = make_model("ac")
         g = grid_for(m, 128)
-        X, _ = g.nodes()
+        X, _ = nodes(g)
         e = energy(m, np.sin(X), g)
         assert abs(e - 0.385 * math.pi ** 2) < 1e-12
         assert abs(e - 3.799797694419403) < 1e-12
@@ -546,7 +562,7 @@ class TestAcInitialBoxes:
     def test_bit_identical_to_full_mesh(self, n):
         m = make_model("ac")
         g = default_grid(m, n)
-        X, Y = g.nodes()
+        X, Y = nodes(g)
         ref = reference_models.ac_initial_on_mesh(m.params["eps"], X + m.x0, Y + m.x0)
         u = initial_condition(m, g)
         assert u.dtype == ref.dtype and u.tobytes() == ref.tobytes()
@@ -554,6 +570,6 @@ class TestAcInitialBoxes:
     def test_other_eps(self):
         m = make_model("ac", eps=0.37)
         g = default_grid(m, 128)
-        X, Y = g.nodes()
+        X, Y = nodes(g)
         ref = reference_models.ac_initial_on_mesh(0.37, X, Y)
         assert initial_condition(m, g).tobytes() == ref.tobytes()

@@ -20,6 +20,7 @@ from mpesplit.order import (
     verify_conditions,
 )
 from mpesplit.schemes import SplitScheme, Term, apply, catalog, catalog_names
+from reference_schemes import reversibility_defect_by_hand
 from wordseries import defect_length
 
 F = Fraction
@@ -283,9 +284,17 @@ class TestReversibility:
     def test_lie_is_not_reversible(self, oracle):
         assert reversibility_defect(catalog("lie1"), oracle, tau=0.1) > 1e-3
 
-    def test_raw_stage_list_input(self, oracle):
-        raw = reversibility_defect([(0.5, 1), (0.5, 0)], oracle)
-        assert raw == reversibility_defect(catalog("strang_a"), oracle)
+    @pytest.mark.parametrize("tau", [0.1, 0.37, 1e-3])
+    def test_matches_chain_by_hand(self, oracle, tau):
+        # each single-term scheme, and each term of two multi-term ones
+        terms = [catalog(name).terms[0]
+                 for name in ("lie1", "lie2", "strang_a", "strang_b", "s4_neg")]
+        terms += [*catalog("s4_2").terms, *catalog("s6").terms]
+        for term in terms:
+            assert (reversibility_defect(term, oracle, tau)
+                    == reversibility_defect_by_hand(term.stages, oracle, tau)), term
+        assert (reversibility_defect(catalog("s4_neg"), oracle, tau)
+                == reversibility_defect_by_hand(catalog("s4_neg").terms[0].stages, oracle, tau))
 
     def test_multi_term_scheme_rejected(self, oracle):
         with pytest.raises(ValueError):

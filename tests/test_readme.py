@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 import re
 import shlex
 from pathlib import Path
@@ -5,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mpesplit
 from mpesplit.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -38,3 +41,14 @@ def test_quick_start_has_every_command():
 @pytest.mark.parametrize("argv", quick_start_commands(), ids=" ".join)
 def test_quick_start_command_parses(argv):
     build_parser().parse_args(argv)
+
+
+def test_named_calls_exist():
+    """Every call the README's prose names in backticks, such as
+    `load_field(basepath)`, is an attribute of a module of the package."""
+    prose = re.sub(r"```.*?```", "", README.read_text(), flags=re.DOTALL)
+    names = re.findall(r"`(?:\w+\.)*(\w+)\(", prose)
+    modules = [importlib.import_module(f"mpesplit.{info.name}")
+               for info in pkgutil.iter_modules(mpesplit.__path__)]
+    assert "load_field" in names and "reversibility_defect" in names
+    assert [n for n in names if not any(hasattr(m, n) for m in modules)] == []
