@@ -41,6 +41,8 @@ def _param(text: str) -> tuple:
     return key, _parse_number(val)
 
 
+FORMATS = ("csv", "json")  # the values of RunConfig.format
+
 # the JSON values a RunConfig field of each annotation takes, as an error names them
 _JSON_KINDS = {"int": "an integer", "float": "a number", "bool": "true or false",
                "str": "a string", "dict": "an object of numbers"}
@@ -76,6 +78,9 @@ def _load_config(path: str) -> harness.RunConfig:
             wanted = _JSON_KINDS[kind] + (" or null" if rest else "")
             raise ValueError(f"config {path}: {f.name} must be {wanted}, "
                              f"got {json.dumps(doc[f.name])}")
+    if isinstance(doc, dict) and doc.get("format", FORMATS[0]) not in FORMATS:
+        raise ValueError(f'config {path}: format must be "csv" or "json", '
+                         f"got {json.dumps(doc['format'])}")
     try:
         return harness.RunConfig(**doc)
     except TypeError as exc:  # not an object, or a key RunConfig lacks
@@ -212,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model")
     add_run_flags(sp)
     sp.add_argument("--tau", type=_parse_number)
-    sp.add_argument("--format", choices=["csv", "json"])
+    sp.add_argument("--format", choices=FORMATS)
     sp.add_argument("--adaptive", action="store_true", default=None)
     sp.add_argument("--tau-min", type=_parse_number)
     sp.add_argument("--tau-max", type=_parse_number)
@@ -224,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("name", choices=harness.preset_names())
     add_run_flags(sp)
     sp.add_argument("--tau", type=_parse_number)
-    sp.add_argument("--format", choices=["csv", "json"])
+    sp.add_argument("--format", choices=FORMATS)
     sp.add_argument("--dry-run", action="store_true")
     sp.set_defaults(fn=_cmd_preset)
 

@@ -63,19 +63,24 @@ def flow_double_well(v, tau: float):
     return out
 
 
-def flow_phase(v, omega, rho: float, tau: float):
-    """Exact flow of u' = i*(omega + rho*|u|^2)*u; |u| is pointwise invariant.
-
-    The angle theta = tau*(omega + rho*|u|^2) is real, so the rotation
-    exp(i*theta) is written as cos(theta) and sin(theta) into the real and
-    imaginary parts of one complex array, which then multiplies u in place;
-    no complex exponential is evaluated.
-    """
-    x = np.asarray(v)
-    theta = tau * (omega + rho * (x.real**2 + x.imag**2))
+def rotation(theta):
+    """exp(i*theta) for real theta, with cos(theta) and sin(theta) written
+    into the real and imaginary parts of one complex array; no complex
+    exponential is evaluated."""
     rot = np.empty(np.shape(theta), dtype=complex)
     np.cos(theta, out=rot.real)
     np.sin(theta, out=rot.imag)
+    return rot
+
+
+def flow_phase(v, omega, rho: float, tau: float):
+    """Exact flow of u' = i*(omega + rho*|u|^2)*u; |u| is pointwise invariant.
+
+    The angle theta = tau*(omega + rho*|u|^2) is real; its `rotation`
+    multiplies u in place.
+    """
+    x = np.asarray(v)
+    rot = rotation(tau * (omega + rho * (x.real**2 + x.imag**2)))
     rot *= x
     return rot
 

@@ -16,6 +16,13 @@ second copy of the spectrum and is still bit-identical to `irfftn`. A
 system's components, stacked along a leading axis with one coefficient
 each, go through one transform over the grid's axes, each component's
 spectrum scaled by its own factors.
+
+`linear_propagate` is two pieces, which a caller can also run apart:
+`forward_spectrum` transforms a state, and `propagate_spectrum` scales and
+inverts that spectrum for one step size, spending it. The terms of a
+splitting step that all start from one state with a linear substep share
+one forward transform this way, each scaling a copy of the spectrum but
+the last (see `schemes`).
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -136,9 +144,71 @@ def _inverse_real(spec: np.ndarray, n_last: int) -> np.ndarray:
     return out
 
 
+def _coefficients(nu) -> list:
+    """nu as a list of complex coefficients, one per component."""
+    return [complex(c) for c in (nu if isinstance(nu, tuple) else (nu,))]
+
+
+def _check_direction(nus, tau: float, allow_backward: bool) -> None:
+    """For real nu > 0 a negative tau grows every mode without bound, so it
+    is rejected unless allow_backward is set (the negative-coefficient
+    scheme needs it, and accepts the consequences)."""
+    if tau < 0 and not allow_backward and any(c.real > 0 and c.imag == 0 for c in nus):
+        raise ValueError("backward step with dissipative nu requires allow_backward")
+
+
+@dataclass(frozen=True)
+class Spectrum:
+    """A state's forward transform, as `forward_spectrum` makes it: the half
+    spectrum of `rfftn` when `half`, else the full spectrum of `fftn`."""
+    values: np.ndarray
+    half: bool
+
+    def copy(self) -> Spectrum:
+        return Spectrum(self.values.copy(), self.half)
+
+
+def forward_spectrum(values: np.ndarray, nu, grid: SpectralGrid) -> Spectrum:
+    """The forward piece of `linear_propagate`: the spectrum of a state of
+    the grid's shape, over the grid's axes. A real state with real nu gets
+    the half spectrum; the state is not written."""
+    stacked = isinstance(nu, tuple)
+    nus = _coefficients(nu)
+    shape = (len(nus),) + grid.shape if stacked else grid.shape
+    if np.shape(values) != shape:
+        raise ValueError(f"state shape {np.shape(values)} does not match grid {grid.shape}"
+                         + (f" with {len(nus)} components" if stacked else ""))
+    # scipy.fft spends about 5 us on an explicit axes argument, a sixth of
+    # a 64^2 real transform, so a single state transforms all its axes
+    axes = (-2, -1) if stacked else None
+    if np.isrealobj(values) and all(c.imag == 0 for c in nus):
+        return Spectrum(_fft.rfftn(values, axes=axes), True)
+    return Spectrum(_fft.fftn(values, axes=axes), False)
+
+
+def propagate_spectrum(spectrum: Spectrum, nu, tau: float, grid: SpectralGrid,
+                       allow_backward: bool = False) -> np.ndarray:
+    """The scale-and-invert piece of `linear_propagate`: the propagated
+    state of a spectrum `forward_spectrum` made with the same nu. The
+    spectrum is scaled in place and inverted over itself, so it is spent."""
+    nus = _coefficients(nu)
+    _check_direction(nus, tau, allow_backward)
+    stacked = isinstance(nu, tuple)
+    spec = spectrum.values
+    parts = spec if stacked else (spec,)
+    if spectrum.half:
+        for part, c in zip(parts, nus):
+            _scale_by_axes(part, -tau * c.real, grid._k2, grid._k2_half)
+        return _inverse_real(spec, grid.n)
+    for part, c in zip(parts, nus):
+        _scale_by_axes(part, -tau * c, grid._k2, grid._k2)
+    return _fft.ifftn(spec, axes=(-2, -1) if stacked else None, overwrite_x=True)
+
+
 def linear_propagate(values: np.ndarray, nu, tau: float, grid: SpectralGrid,
                      allow_backward: bool = False) -> np.ndarray:
-    """Apply exp(tau * nu * Laplacian) via the Fourier multiplier exp(-tau*nu*lambda).
+    """Apply exp(tau * nu * Laplacian) via the Fourier multiplier exp(-tau*nu*lambda):
+    `forward_spectrum`, then `propagate_spectrum`.
 
     nu is one coefficient, or a tuple of one per component for a system
     whose components are stacked along a leading axis; all components go
@@ -153,30 +223,11 @@ def linear_propagate(values: np.ndarray, nu, tau: float, grid: SpectralGrid,
     the module docstring); it equals the full-grid multiplier up to the
     rounding of tau*lambda.
 
-    For real nu > 0 a negative tau grows every mode without bound, so it is
-    rejected unless allow_backward is set (the negative-coefficient scheme
-    needs it, and accepts the consequences).
+    A backward step of a dissipative nu is refused (`_check_direction`)
+    before the state's shape is checked.
     """
-    stacked = isinstance(nu, tuple)
-    nus = [complex(c) for c in (nu if stacked else (nu,))]
-    if tau < 0 and not allow_backward and any(c.real > 0 and c.imag == 0 for c in nus):
-        raise ValueError("backward step with dissipative nu requires allow_backward")
-    shape = (len(nus),) + grid.shape if stacked else grid.shape
-    if np.shape(values) != shape:
-        raise ValueError(f"state shape {np.shape(values)} does not match grid {grid.shape}"
-                         + (f" with {len(nus)} components" if stacked else ""))
-    # scipy.fft spends about 5 us on an explicit axes argument, a sixth of
-    # a 64^2 real transform, so a single state transforms all its axes
-    axes = (-2, -1) if stacked else None
-    if np.isrealobj(values) and all(c.imag == 0 for c in nus):
-        spec = _fft.rfftn(values, axes=axes)
-        for part, c in zip(spec if stacked else (spec,), nus):
-            _scale_by_axes(part, -tau * c.real, grid._k2, grid._k2_half)
-        return _inverse_real(spec, values.shape[-1])
-    spec = _fft.fftn(values, axes=axes)
-    for part, c in zip(spec if stacked else (spec,), nus):
-        _scale_by_axes(part, -tau * c, grid._k2, grid._k2)
-    return _fft.ifftn(spec, axes=axes, overwrite_x=True)
+    _check_direction(_coefficients(nu), tau, allow_backward)
+    return propagate_spectrum(forward_spectrum(values, nu, grid), nu, tau, grid, allow_backward)
 
 
 # ---------------------------------------------------------------------------

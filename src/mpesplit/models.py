@@ -15,6 +15,7 @@ functions below call the functions of the record they are given.
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
@@ -26,11 +27,12 @@ from .flows import (
     flow_phase,
     flow_tanh,
     in_window,
+    rotation,
     ssprk104,
     truncate_double_well,
     truncate_fkpp,
 )
-from .grid import SpectralGrid, linear_propagate
+from .grid import SpectralGrid, forward_spectrum, linear_propagate, propagate_spectrum
 from .schemes import FlowPair
 
 
@@ -202,10 +204,43 @@ def _nls_energy(model, state, grid):
     return float(kinetic + grid.integrate(-omega * mod2 - 0.5 * rho * mod2**2))
 
 
+# at rho = 0, a kept rotation times u is u's `flow_phase` when every real and
+# imaginary part of the product lies within +-this bound: |u| is then below
+# 1.5e150, so |u|^2 cannot overflow
+_PHASE_WINDOW = 1e150
+
+
 def _phase_b_flow(model, grid, substeps):
+    """`flow_phase` with the model's potential omega.
+
+    At rho = 0 the angle tau * (omega + rho * |u|^2) is
+    tau * (omega + rho * 0.0) wherever |u|^2 is finite, so the rotation
+    depends on tau alone. Each thread keeps its last rotation, keyed by tau
+    and tau's sign (-0.0 == 0.0, but their sines differ), and a call returns
+    that rotation times u in a new array; the kept rotation is never written
+    or returned. A Richardson term repeats its B coefficient, so an `s6`
+    step evaluates 3 rotations instead of 6. The product is `flow_phase`'s
+    result bit for bit when every real and imaginary part of it lies within
+    +-`_PHASE_WINDOW`; for any other state, a NaN included, the call returns
+    `flow_phase` itself. rho != 0 always takes `flow_phase`.
+    """
     omega = potential(model, grid)
     rho = model.params["rho"]
-    return lambda tau, u: flow_phase(u, omega, rho, tau)
+    if rho != 0:
+        return lambda tau, u: flow_phase(u, omega, rho, tau)
+    omega0 = omega + rho * 0.0  # -0.0 + 0.0 is +0.0, as in omega + 0.0 * |u|^2
+    last = threading.local()
+
+    def b_flow(tau, u):
+        key = (tau, math.copysign(1.0, tau))
+        if getattr(last, "key", None) != key:
+            last.rot, last.key = rotation(tau * omega0), key
+        out = last.rot * u
+        if in_window(out.view(float), _PHASE_WINDOW):
+            return out
+        return flow_phase(u, omega, rho, tau)
+
+    return b_flow
 
 
 def _rd_initial(model, X, Y):
@@ -340,7 +375,9 @@ def make_model(model_id: str, **overrides) -> ModelSpec:
 
 
 def default_grid(model: ModelSpec, n: int | None = None) -> SpectralGrid:
-    return SpectralGrid(n or model.n_default, model.length)
+    """The model's grid with n points per axis; None means its default. An
+    n that is not even and at least 2 raises ValueError."""
+    return SpectralGrid(model.n_default if n is None else n, model.length)
 
 
 def model_nu(model: ModelSpec):
@@ -392,7 +429,9 @@ def flow_pair(model: ModelSpec, grid: SpectralGrid, rk_substeps: int = 4,
     """The A flow propagates each component with its own nu, all components
     in one transform; the B flow is the model's, with `rk_substeps` SSP-RK
     substeps per call where it integrates. The count is checked here, at
-    set-up, for every model, whether or not its B flow runs RK."""
+    set-up, for every model, whether or not its B flow runs RK. The pair
+    also carries the A flow's two pieces, so `schemes.apply` can transform
+    a step's input once for the terms that start with an A substep."""
     if rk_substeps < 1:
         raise ValueError("substeps must be >= 1")
     nu = model_nu(model)
@@ -401,4 +440,10 @@ def flow_pair(model: ModelSpec, grid: SpectralGrid, rk_substeps: int = 4,
     def a_flow(tau, u):
         return linear_propagate(u, nu, tau, grid, allow_backward=allow_backward)
 
-    return FlowPair(a_flow, b_flow)
+    def a_forward(u):
+        return forward_spectrum(u, nu, grid)
+
+    def a_finish(tau, spectrum):
+        return propagate_spectrum(spectrum, nu, tau, grid, allow_backward)
+
+    return FlowPair(a_flow, b_flow, a_forward, a_finish)

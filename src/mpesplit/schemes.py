@@ -24,8 +24,19 @@ costs more than the second core gives. Either way the results are combined
 in term order with compensated summation, so a step is bit-identical to
 running the terms one after another.
 
-`submit` is the one way onto the helper: `apply` hands it bin 1 and the
-combine of a large state, and `harness.run` the diagnostics row of a
+A step does shared work once. The terms of one bin (or, on the calling
+thread alone, of the whole step) that start with an A substep share one
+forward transform of the input, when the flows carry the A flow in its two
+pieces (`FlowPair.a_forward`, `a_finish`); the last of them spends the
+spectrum, so none outlives its last user's first substep. The two bins do
+not share one: a spectrum made on the calling thread for the helper would
+sit in the calling thread's malloc arena until the helper, often busy with
+a diagnostics row, got to it, and that raised the peak memory of a 1024^2
+`ac` run by one spectrum. After a two-bin step, the calling thread and the
+helper each combine half of the flat indices into one array.
+
+`submit` is the one way onto the helper: `apply` hands it bin 1 and half
+of the combine of a large state, and `harness.run` the diagnostics row of a
 finished step. The helper runs its work first in, first out, so a row
 handed over before a step runs ahead of that step's bin 1.
 """
@@ -60,11 +71,13 @@ class Plan:
     """A scheme ready to run. `terms[i]` holds term i's non-zero substeps as
     (stage, flow, coefficient), flow 0 for A and 1 for B; `single` marks one
     term of weight 1, whose result is the step itself; `bins` are two tuples
-    of term indices, each in term order."""
+    of term indices, each in term order; `a_first` holds the indices of the
+    terms whose first substep is an A substep."""
     terms: tuple
     weights: tuple
     single: bool
     bins: tuple
+    a_first: tuple
 
 
 def _split(costs):
@@ -100,13 +113,22 @@ class SplitScheme:
             tuple(float(t.weight) for t in self.terms),
             len(self.terms) == 1 and self.terms[0].weight == 1,
             _split([len(t) for t in terms]),
+            tuple(i for i, t in enumerate(terms) if t and t[0][1] == 0),
         )
 
 
 @dataclass(frozen=True)
 class FlowPair:
-    a_flow: object  # callable (tau, state) -> state, identity at tau = 0
+    """The two flows, each a callable (tau, state) -> state that is the
+    identity at tau = 0. A flow pair with a spectral A flow also carries it
+    in two pieces: `a_forward(state)` returns the state's spectrum, an
+    object with a `copy()` method, and `a_finish(tau, spectrum)` returns
+    `a_flow(tau, state)`, spending the spectrum. Without them (None) every
+    A substep calls `a_flow`."""
+    a_flow: object
     b_flow: object
+    a_forward: object = None
+    a_finish: object = None
 
 
 def _term(weight, stages):
@@ -300,11 +322,33 @@ os.register_at_fork(after_in_child=_forget_helper)
 def _run_terms(plan, indices, flows, tau, state, results):
     """Run the terms at `indices` in that order, storing each result at its
     term index. Returns (term, stage, exception) for the first term that
-    raises, which ends the run, or None."""
+    raises, which ends the run, or None.
+
+    When two or more of these terms start with an A substep (`plan.a_first`)
+    and the flows carry the A flow's pieces, the first of them transforms
+    state once (`flows.a_forward`). Each of them runs its first substep as
+    `flows.a_finish` of a copy of that spectrum, except the last, which
+    spends the spectrum itself; so no spectrum outlives the first substep
+    of the last term that uses it. A transform that raises is the failure
+    of that first substep."""
     flow = (flows.a_flow, flows.b_flow)
+    users = [ti for ti in indices if ti in plan.a_first]
+    if len(users) < 2 or flows.a_forward is None:
+        users = []
+    held = []  # the spectrum, between the first and the last of the users
     for ti in indices:
-        work = state
-        for si, f, c in plan.terms[ti]:
+        substeps, work = plan.terms[ti], state
+        if ti in users:
+            si, _, c = substeps[0]
+            try:
+                if not held:
+                    held.append(flows.a_forward(state))
+                # no name here keeps the spectrum the last user spends
+                work = flows.a_finish(c * tau, held.pop() if ti == users[-1] else held[0].copy())
+            except Exception as exc:
+                return ti, si, exc
+            substeps = substeps[1:]
+        for si, f, c in substeps:
             try:
                 work = flow[f](c * tau, work)
             except Exception as exc:
@@ -313,23 +357,43 @@ def _run_terms(plan, indices, flows, tau, state, results):
     return None
 
 
-def _combine(weights, results):
+def _combine(weights, results, out=None, part=slice(None)):
     """sum_i weights[i] * results[i] in term order, with compensated
     summation in three buffers: y = w*r - comp, t = acc + y,
     comp = (t - acc) - y, acc = t, with t written over the old comp and the
-    new comp over the old acc."""
+    new comp over the old acc. The sum is written into the flat indices
+    `part` of out, taken from those of the results; out is a new array when
+    not given. Every operation is elementwise, so any split of the indices
+    gives the bytes of one call over all of them."""
     first = results[0]
-    acc = np.zeros(np.shape(first), dtype=np.result_type(first, float))
-    comp = np.zeros_like(acc)
-    y = np.empty_like(acc)
+    if out is None:
+        out = np.empty(np.shape(first), dtype=np.result_type(first, float))
+    total = out.reshape(-1)[part]
+    total.fill(0.0)
+    other = np.zeros_like(total)
+    y = np.empty_like(total)
+    # acc and comp trade buffers once per term: start acc in the one the sum ends in
+    acc, comp = (total, other) if len(weights) % 2 == 0 else (other, total)
     for w, r in zip(weights, results):
-        np.multiply(w, r, out=y)
+        np.multiply(w, np.ravel(r)[part], out=y)
         y -= comp
         np.add(acc, y, out=comp)
         np.subtract(comp, acc, out=acc)
         acc -= y
         acc, comp = comp, acc
-    return acc
+    return out
+
+
+def _combine_on_two_threads(weights, results):
+    """`_combine` with the first half of the flat indices on the calling
+    thread and the rest on the helper, both into one array."""
+    first = results[0]
+    out = np.empty(np.shape(first), dtype=np.result_type(first, float))
+    half = out.size // 2
+    rest = submit(_combine, weights, results, out, slice(half, None))
+    _combine(weights, results, out, slice(0, half))
+    rest.result()
+    return out
 
 
 def apply(scheme: SplitScheme, flows: FlowPair, tau: float, state):
@@ -351,10 +415,9 @@ def apply(scheme: SplitScheme, flows: FlowPair, tau: float, state):
     lowest index surfaces as a `RuntimeError` naming the term and stage,
     with the original exception as its cause.
 
-    After a two-bin step the combine also runs on the helper: each thread
-    allocates from its own malloc arena, which keeps memory it has freed,
-    so the combine's buffers then reuse what bin 1's substeps released
-    instead of growing the calling thread's arena."""
+    The terms of one bin that start with an A substep share one forward
+    transform of the input (see `_run_terms`). After a two-bin step, the
+    calling thread and the helper each combine half of the flat indices."""
     plan = scheme.plan
     results = [None] * len(plan.terms)
     two_bins = bool(plan.bins[1]) and np.asarray(state).nbytes > SERIAL_MAX_BYTES
@@ -370,7 +433,7 @@ def apply(scheme: SplitScheme, flows: FlowPair, tau: float, state):
     if plan.single:
         return results[0]
     if two_bins:
-        return submit(_combine, plan.weights, results).result()
+        return _combine_on_two_threads(plan.weights, results)
     return _combine(plan.weights, results)
 
 

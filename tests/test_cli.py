@@ -501,6 +501,17 @@ class TestRuntimeErrors:
         (("run", "--config", '{"model": null}'), "model must be a string, got null"),
         (("run", "--config", '{"out_dir": 3}'), "out_dir must be a string or null"),
         (("run", "--config", '{"rk_substeps": 4.0}'), "rk_substeps must be an integer"),
+        # a grid of 0 or fewer points per axis is refused, not the model's default
+        (("run", "--model", "toy", "--nx", "0", "--tfinal", "0"), "even and >= 2, got 0"),
+        (("run", "--model", "toy", "--nx", "-2", "--tfinal", "0"), "even and >= 2, got -2"),
+        (("run", "--config", '{"model": "toy", "nx": 0, "t_final": 0}'), "even and >= 2, got 0"),
+        (("converge", "--model", "nls_linear", "--nx", "0", "--taus", "0.1,0.05",
+          "--reference", "exact"), "even and >= 2, got 0"),
+        (("preset", "fkpp", "--nx", "0", "--tfinal", "0"), "even and >= 2, got 0"),
+        # only argparse checks --format; a config file's format is checked on load
+        (("run", "--config", '{"format": "xml"}'), 'format must be "csv" or "json", got "xml"'),
+        (("run", "--config", '{"model": "toy", "nx": 16, "format": "CSV"}'),
+         'format must be "csv" or "json", got "CSV"'),
     ])
     def test_reported_and_exit_2(self, capsys, tmp_path, argv, reason):
         if "--config" in argv:  # the JSON text after --config goes to a file

@@ -120,6 +120,12 @@ class TestRegistry:
         g = default_grid(make_model("cac"))
         assert g.shape == (256, 256) and g.length == 2.0
         assert default_grid(make_model("cac"), 64).shape == (64, 64)
+        assert default_grid(make_model("cac"), None).shape == (256, 256)
+
+    @pytest.mark.parametrize("n", [0, -2, 3])
+    def test_default_grid_refuses_bad_sizes(self, n):
+        with pytest.raises(ValueError, match=f"even and >= 2, got {n}"):
+            default_grid(make_model("toy"), n)
 
 
 class TestInitialConditions:
