@@ -13,10 +13,12 @@ ENTRIES = json.loads(TABLE.read_text())["entries"]
 
 
 def _name(entry):
-    """The command, then the value of each of its --model, --scheme and --seed."""
+    """The command (with a preset's name), then the value of each of its
+    --model, --scheme, --seed and --config."""
     argv = entry["argv"]
-    return "-".join([argv[0]] + [argv[i + 1] for i, a in enumerate(argv)
-                                 if a in ("--model", "--scheme", "--seed")])
+    head = argv[:2] if argv[0] == "preset" else argv[:1]
+    return "-".join(head + [argv[i + 1] for i, a in enumerate(argv)
+                            if a in ("--model", "--scheme", "--seed", "--config")])
 
 
 def test_table_lists_every_command():
