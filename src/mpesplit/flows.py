@@ -16,13 +16,36 @@ import numpy as np
 LN2 = math.log(2.0)
 
 
+# flow_tanh takes its direct form alone when max |v| + lam*tau is at most
+# this: 30 less a margin for the rounding of the window's bound
+_TANH_DIRECT_MAX = 29.0
+
+
 def flow_tanh(v, lam: float, tau: float):
     """Exact flow of u' = lam * tanh(u): arcsinh(sinh(v) * exp(lam*tau)).
 
     sinh overflows for |v| above ~710, and exp(lam*tau) can overflow on its
-    own, so large arguments are handled through log(sinh|v|) + lam*tau.
+    own, so large arguments are handled through log(sinh|v|) + lam*tau
+    (`_tanh_branches`).
+
+    An element takes the direct form when |v| <= 700, lam*tau <= 700 and
+    log(sinh|v|) + lam*tau <= 30, and the computed log(sinh|v|) never
+    exceeds |v|. So when lam*tau <= 700 and every |v| is at most
+    min(700, 29 - lam*tau), which costs two reductions (`in_window`; a NaN
+    in v or in lam*tau fails the test), every element takes the direct form,
+    and it alone is evaluated: the result is bit-identical to
+    `_tanh_branches`'.
     """
     x = np.asarray(v, dtype=float)
+    lt = lam * tau
+    if x.size and lt <= 700.0 and in_window(x, min(700.0, _TANH_DIRECT_MAX - lt)):
+        return np.arcsinh(np.sinh(x) * np.exp(lt))
+    return _tanh_branches(x, lam, tau)
+
+
+def _tanh_branches(x, lam: float, tau: float):
+    """`flow_tanh` of a float array by its direct form, its log form and its
+    asymptote, each evaluated everywhere, then one selected per element."""
     av = np.abs(x)
     sign = np.sign(x)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

@@ -32,8 +32,13 @@ spectrum, so none outlives its last user's first substep. The two bins do
 not share one: a spectrum made on the calling thread for the helper would
 sit in the calling thread's malloc arena until the helper, often busy with
 a diagnostics row, got to it, and that raised the peak memory of a 1024^2
-`ac` run by one spectrum. After a two-bin step, the calling thread and the
-helper each combine half of the flat indices into one array.
+`ac` run by one spectrum.
+
+The compensated sum runs in place in the term results, which the step owns
+and drops after the sum, and in one more state-sized array; a result the
+step does not own, such as the input state, gets an array of its own. After
+a two-bin step, the calling thread and the helper each sum half of the flat
+indices.
 
 `submit` is the one way onto the helper: `apply` hands it bin 1 and half
 of the combine of a large state, and `harness.run` the diagnostics row of a
@@ -80,12 +85,23 @@ class Plan:
     a_first: tuple
 
 
-def _split(costs):
+def _split(costs, a_first):
     """Term indices in two bins: longest term first, each into the lighter
-    bin (bin 0 on a tie). Fixed per scheme, so no run depends on timing."""
+    bin. On a tie the terms that start with an A substep (`a_first`), which
+    share a forward transform within a bin (see `_run_terms`), go together
+    and apart from the others: to the bin that holds such a term when only
+    one bin does, else those terms to bin 0 and the others to bin 1 (all to
+    bin 0 when no term starts with an A substep). Fixed per scheme, so no
+    run depends on timing."""
     bins, loads = ([], []), [0, 0]
     for ti in sorted(range(len(costs)), key=lambda i: -costs[i]):
-        k = 0 if loads[0] <= loads[1] else 1
+        if loads[0] != loads[1]:
+            k = 0 if loads[0] < loads[1] else 1
+        else:
+            starts_a = ti in a_first
+            holds = [any(i in a_first for i in b) for b in bins]
+            k = (holds.index(starts_a) if holds[0] != holds[1]
+                 else int(bool(a_first) and not starts_a))
         bins[k].append(ti)
         loads[k] += costs[ti]
     return tuple(tuple(sorted(b)) for b in bins)
@@ -108,12 +124,13 @@ class SplitScheme:
                   for f, c in enumerate(stage) if c != 0)
             for term in self.terms
         )
+        a_first = tuple(i for i, t in enumerate(terms) if t and t[0][1] == 0)
         return Plan(
             terms,
             tuple(float(t.weight) for t in self.terms),
             len(self.terms) == 1 and self.terms[0].weight == 1,
-            _split([len(t) for t in terms]),
-            tuple(i for i, t in enumerate(terms) if t and t[0][1] == 0),
+            _split([len(t) for t in terms], a_first),
+            a_first,
         )
 
 
@@ -357,43 +374,62 @@ def _run_terms(plan, indices, flows, tau, state, results):
     return None
 
 
-def _combine(weights, results, out=None, part=slice(None)):
+def _term_buffers(results, state):
+    """The array each term's weighted result is summed in: the result itself
+    when the step may write over it, else a new array. The step owns a
+    result that is a C-contiguous, writeable ndarray of the sum's shape and
+    dtype sharing no memory with the input state or with any other result;
+    a result that is the state itself (an identity flow), that another
+    result also returns, or that is read-only, not C-contiguous or of
+    another dtype gets an array of its own, so nothing the caller holds is
+    written."""
+    shape = np.shape(results[0])
+    dtype = np.result_type(results[0], float)
+
+    def owned(i, r):
+        return (type(r) is np.ndarray and r.shape == shape and r.dtype == dtype
+                and r.flags.c_contiguous and r.flags.writeable
+                and not np.may_share_memory(r, state)
+                and not any(np.may_share_memory(r, o)
+                            for j, o in enumerate(results) if j != i))
+
+    return [r if owned(i, r) else np.empty(shape, dtype) for i, r in enumerate(results)]
+
+
+def _combine(weights, results, terms, comp, part=slice(None)):
     """sum_i weights[i] * results[i] in term order, with compensated
-    summation in three buffers: y = w*r - comp, t = acc + y,
-    comp = (t - acc) - y, acc = t, with t written over the old comp and the
-    new comp over the old acc. The sum is written into the flat indices
-    `part` of out, taken from those of the results; out is a new array when
-    not given. Every operation is elementwise, so any split of the indices
-    gives the bytes of one call over all of them."""
-    first = results[0]
-    if out is None:
-        out = np.empty(np.shape(first), dtype=np.result_type(first, float))
-    total = out.reshape(-1)[part]
-    total.fill(0.0)
-    other = np.zeros_like(total)
-    y = np.empty_like(total)
-    # acc and comp trade buffers once per term: start acc in the one the sum ends in
-    acc, comp = (total, other) if len(weights) % 2 == 0 else (other, total)
-    for w, r in zip(weights, results):
+    summation (y = w*r - comp, t = acc + y, comp = (t - acc) - y, acc = t,
+    from acc = comp = +0), in place in the flat indices `part` of the term
+    buffers `terms` (`_term_buffers`) and of one more array, `comp`; the sum
+    ends in terms[-1]. A term's w*r is read from results[i] into terms[i].
+
+    With acc = comp = +0 the first term's update is exactly acc = w*r + 0.0
+    and comp = acc - acc, for signed zeros, infinities and NaN payloads too;
+    the last term's comp is never read, so it is not computed. That is
+    5k - 4 passes over the state for k terms. Every operation is elementwise,
+    so any split of the indices gives the bytes of one call over all of them."""
+    def flat(a):
+        return a.reshape(-1)[part]
+
+    acc, comp = None, flat(comp)
+    last = len(weights) - 1
+    for i, (w, r, term) in enumerate(zip(weights, results, terms)):
+        y = flat(term)
         np.multiply(w, np.ravel(r)[part], out=y)
+        if i == 0:
+            y += 0.0
+            np.subtract(y, y, out=comp)
+            acc = y
+            continue
         y -= comp
+        if i == last:
+            np.add(acc, y, out=y)
+            break
+        # t over the old comp, then the new comp over the old acc
         np.add(acc, y, out=comp)
         np.subtract(comp, acc, out=acc)
         acc -= y
         acc, comp = comp, acc
-    return out
-
-
-def _combine_on_two_threads(weights, results):
-    """`_combine` with the first half of the flat indices on the calling
-    thread and the rest on the helper, both into one array."""
-    first = results[0]
-    out = np.empty(np.shape(first), dtype=np.result_type(first, float))
-    half = out.size // 2
-    rest = submit(_combine, weights, results, out, slice(half, None))
-    _combine(weights, results, out, slice(0, half))
-    rest.result()
-    return out
 
 
 def apply(scheme: SplitScheme, flows: FlowPair, tau: float, state):
@@ -416,8 +452,9 @@ def apply(scheme: SplitScheme, flows: FlowPair, tau: float, state):
     with the original exception as its cause.
 
     The terms of one bin that start with an A substep share one forward
-    transform of the input (see `_run_terms`). After a two-bin step, the
-    calling thread and the helper each combine half of the flat indices."""
+    transform of the input (see `_run_terms`). The sum runs in place in the
+    term results (`_combine`); after a two-bin step, the calling thread and
+    the helper each sum half of the flat indices."""
     plan = scheme.plan
     results = [None] * len(plan.terms)
     two_bins = bool(plan.bins[1]) and np.asarray(state).nbytes > SERIAL_MAX_BYTES
@@ -432,9 +469,16 @@ def apply(scheme: SplitScheme, flows: FlowPair, tau: float, state):
         raise RuntimeError(f"scheme {scheme.name} term {ti} stage {si}: {exc}") from exc
     if plan.single:
         return results[0]
+    terms = _term_buffers(results, state)
+    comp = np.empty_like(terms[0])
     if two_bins:
-        return _combine_on_two_threads(plan.weights, results)
-    return _combine(plan.weights, results)
+        half = comp.size // 2
+        rest = submit(_combine, plan.weights, results, terms, comp, slice(half, None))
+        _combine(plan.weights, results, terms, comp, slice(0, half))
+        rest.result()
+    else:
+        _combine(plan.weights, results, terms, comp)
+    return terms[-1]
 
 
 def scheme_stats(scheme: SplitScheme) -> dict:

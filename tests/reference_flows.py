@@ -4,12 +4,32 @@ These are the straightforward forms the package's buffered code must agree
 with: the truncated nonlinearities evaluated branch by branch from their
 printed formulas, the clip-plus-tail truncations that always take the
 tails, the SSP-RK(10,4) two-register loop with a fresh array for every
-stage, and the model right-hand sides written as plain expressions.
+stage, the model right-hand sides written as plain expressions, and the
+closed tanh flow with all three of its branches evaluated everywhere.
 """
 
 import math
 
 import numpy as np
+
+
+LN2 = math.log(2.0)
+
+
+def tanh_branches(v, lam, tau):
+    """arcsinh(sinh(v) exp(lam tau)) by its direct form, its log form and its
+    asymptote, each evaluated on every element, then one selected."""
+    x = np.asarray(v, dtype=float)
+    av = np.abs(x)
+    sign = np.sign(x)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_sinh = av + np.log1p(-np.exp(-2.0 * av)) - LN2
+        t = log_sinh + lam * tau
+        direct_ok = (av <= 700.0) & (lam * tau <= 700.0) & (t <= 30.0)
+        direct = np.arcsinh(np.sinh(np.where(direct_ok, x, 0.0)) * np.exp(lam * tau))
+        via_log = np.arcsinh(sign * np.exp(np.where(t <= 30.0, t, 0.0)))
+        asym = sign * (t + LN2)
+    return np.where(direct_ok, direct, np.where(t <= 30.0, via_log, asym))
 
 
 def double_well_branches(u, M):

@@ -19,10 +19,14 @@ def apply_allocating(scheme, flows, tau, state):
                 work = flows.b_flow(float(b) * tau, work)
         if len(scheme.terms) == 1 and term.weight == 1:
             return work
-        results.append((float(term.weight), work))
-    acc = np.zeros_like(np.asarray(results[0][1], dtype=np.result_type(results[0][1], float)))
+        results.append(work)
+    return combine_allocating([float(t.weight) for t in scheme.terms], results)
+
+
+def combine_allocating(weights, results):
+    acc = np.zeros_like(np.asarray(results[0], dtype=np.result_type(results[0], float)))
     comp = np.zeros_like(acc)
-    for w, r in results:
+    for w, r in zip(weights, results):
         y = w * np.asarray(r) - comp
         t = acc + y
         comp = (t - acc) - y

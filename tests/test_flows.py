@@ -27,6 +27,7 @@ from reference_flows import (
     inside_window,
     phase_rotation,
     ssprk104_loop,
+    tanh_branches,
 )
 
 # finite values of both signs and sizes, signed zeros, infinities and a NaN
@@ -79,6 +80,76 @@ class TestFlowTanh:
         lam = 1.3
         rk = ssprk104(lambda u: lam * np.tanh(u), v, 0.5, substeps=64)
         assert np.max(np.abs(rk - flow_tanh(v, lam, 0.5))) < 1e-10
+
+
+def _up(x):
+    return np.nextafter(x, np.inf)
+
+
+# float64 NaNs with payloads, both signs, quiet and signalling
+_TANH_NANS = np.array([0x7FF8000000000123, 0xFFF8000000ABC000, 0x7FF4000000000001],
+                      dtype=np.uint64).view(float)
+
+
+def _tanh_cases():
+    """(state, lam*tau): signed zeros and subnormals; values at, just inside
+    and just outside 700 and the bound 29 - lam*tau; lam*tau near 700,
+    negative and -inf; NaNs and infinities, alone and among window values."""
+    rng = np.random.default_rng(3)
+    small = rng.standard_normal(40)
+    cases = []
+    for lt in [0.0, -0.0, 1e-3, 0.5, -0.5, 28.9, 29.0, 29.5, 35.0, -671.0, -671.5, -1e6,
+               699.0, 700.0, _up(700.0), 1e300, -np.inf, np.nan]:
+        bound = min(700.0, 29.0 - lt)
+        edge = [bound, -bound, _up(bound), -_up(bound), np.nextafter(bound, -np.inf)]
+        cases += [(np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308]), lt), (small, lt),
+                  (np.array(edge[:2] + edge[4:]), lt), (np.array(edge), lt),
+                  (np.array([700.0, -700.0, _up(700.0), 710.0, -1e300]), lt)]
+        for special in [*_TANH_NANS, np.nan, -np.nan, np.inf, -np.inf]:
+            cases += [(np.array([special]), lt), (np.append(small, special), lt)]
+    return cases
+
+
+class TestFlowTanhWindow:
+    """flow_tanh's direct form alone, inside its window, against the three
+    branches evaluated everywhere, byte for byte."""
+
+    @pytest.mark.parametrize("split", ["lam", "tau", "negated"])
+    def test_bit_identical_to_three_branches(self, split):
+        for x, lt in _tanh_cases():
+            lam, tau = {"lam": (lt, 1.0), "tau": (1.0, lt), "negated": (-1.0, -lt)}[split]
+            assert lam * tau == lt or np.isnan(lt)
+            got = flow_tanh(x, lam, tau)
+            assert got.tobytes() == tanh_branches(x, lam, tau).tobytes(), (x, lt)
+
+    def test_two_dimensional_and_scalar_states(self):
+        v = np.random.default_rng(4).uniform(-3, 3, (16, 16))
+        assert flow_tanh(v, 0.7, 0.9).tobytes() == tanh_branches(v, 0.7, 0.9).tobytes()
+        assert flow_tanh(1.0, 1.0, 1.0).tobytes() == tanh_branches(1.0, 1.0, 1.0).tobytes()
+        assert flow_tanh(np.zeros(0), 1.0, 1.0).shape == (0,)
+
+    @pytest.mark.parametrize("x,lt,full", [
+        ([28.5, -28.5], 0.5, False),
+        ([_up(28.5)], 0.5, True),
+        ([-_up(28.5)], 0.5, True),
+        ([700.0, -700.0], -671.0, False),
+        ([_up(700.0)], -1e6, True),
+        ([0.0], 700.0, True),  # the bound is -671, so no state is inside
+        ([0.0], _up(700.0), True),
+        ([0.5, np.nan], 0.1, True),
+        ([0.5, -np.inf], 0.1, True),
+        ([0.5, 1e-3], -np.inf, False),
+        ([0.5], np.nan, True),
+    ])
+    def test_window_edges(self, x, lt, full, monkeypatch):
+        """Which states take the three branches: exactly those with a value
+        beyond min(700, 29 - lam*tau), a NaN, or lam*tau above 700."""
+        calls = []
+        branches = flows._tanh_branches
+        monkeypatch.setattr(flows, "_tanh_branches",
+                            lambda *a: calls.append(a) or branches(*a))
+        flow_tanh(np.array(x), lt, 1.0)
+        assert bool(calls) == full
 
 
 class TestFlowDoubleWell:

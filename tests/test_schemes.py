@@ -328,6 +328,14 @@ class TestPlan:
         assert s4_2.bins == ((0, 2), (1, 3))
         assert catalog("s4_4").plan.bins == ((1,), (0,))
 
+    def test_a_first_terms_grouped_on_a_tie(self):
+        # s3_1: 3, 3, 2, 2 substeps, terms 0 and 3 start with an A substep;
+        # s4_1: 4, 4, 2, 2 substeps, terms 1 and 2 do
+        s3_1, s4_1 = catalog("s3_1").plan, catalog("s4_1").plan
+        assert s3_1.a_first == (0, 3) and s3_1.bins == ((0, 3), (1, 2))
+        assert s4_1.a_first == (1, 2) and s4_1.bins == ((1, 2), (0, 3))
+        assert catalog("s3_2").plan.bins == ((0,), (1,))  # no term starts with A
+
     @pytest.mark.parametrize("name", sorted(CATALOG_TABLE))
     def test_every_term_in_one_bin(self, name):
         plan = catalog(name).plan

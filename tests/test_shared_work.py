@@ -1,7 +1,8 @@
 """The work one multi-term step shares, byte for byte against the paths that
 share nothing: one forward transform of the step's input for the terms that
 start with an A substep, one phase rotation per B coefficient at rho = 0,
-and the compensated combine split over two threads."""
+and the compensated combine, run in place in the term results on one or
+two threads, against one that allocates an array per operation."""
 
 import dataclasses
 import threading
@@ -26,13 +27,13 @@ from mpesplit.order import matrix_flows
 from mpesplit.schemes import (
     FlowPair,
     _combine,
-    _combine_on_two_threads,
+    _term_buffers,
     apply,
     catalog,
     catalog_names,
     richardson_scheme,
 )
-from reference_schemes import apply_allocating
+from reference_schemes import apply_allocating, combine_allocating
 
 SCHEMES = [catalog(n) for n in catalog_names()] + [richardson_scheme((1, 2, 3, 4))]
 
@@ -138,9 +139,12 @@ class TestSharedForward:
         assert catalog("s3_2").plan.a_first == ()
         assert catalog("strang_a").plan.a_first == (0,)
         # serial, two bins: s6's bins are (2,) and (0, 1), s4_2's (0, 2) and
-        # (1, 3), s4_4's (1,) and (0,), s10's (0, 1, 4) and (2, 3)
+        # (1, 3), s4_4's (1,) and (0,), s10's (0, 1, 4) and (2, 3), s3_1's
+        # (0, 3) and (1, 2), s4_1's (1, 2) and (0, 3)
         for name, serial, two_bins in [
             ("s6", [[0, 1, 2]], [[0, 1]]),
+            ("s3_1", [[0, 3]], [[0, 3]]),
+            ("s4_1", [[1, 2]], [[1, 2]]),
             ("s4_2", [[0, 2]], [[0, 2]]),
             ("s4_4", [[0, 1]], []),
             ("s10", [[0, 1, 2, 3, 4]], [[0, 1, 4], [2, 3]]),
@@ -328,9 +332,146 @@ class TestPhaseRotation:
         assert out.tobytes() == flow_phase(u, potential(m, g), -1.0, 0.2).tobytes()
 
 
+# signed zeros, infinities, subnormals, +-1e308 (twice that overflows) and
+# quiet and signalling NaNs of both signs with payloads
+_NAN_BITS = [0x7FF8000000000123, 0xFFF8000000ABC000, 0x7FF4000000000001, 0xFFF0000000000F00]
+SPECIALS = np.concatenate([
+    [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e308, -1e308],
+    np.array(_NAN_BITS, dtype=np.uint64).view(float),
+])
+
+# one scheme of each term count: 2, 3, 4 and 5 terms
+COMBINED = ["s4_4", "s6", "s4_2", "s10"]
+
+
+def _special_state(complex_state, n=96):
+    """Random values with every `SPECIALS` value planted at spread-out
+    places, and a run of zeros of random signs, in both parts when complex."""
+    rng = np.random.default_rng(7)
+
+    def part():
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-5, 5, n)
+        x[::7][:SPECIALS.size] = SPECIALS
+        x[-24:] = np.where(rng.random(24) < 0.5, 0.0, -0.0)
+        return x
+
+    if not complex_state:
+        return part()
+    x = np.empty(n, dtype=complex)
+    x.real, x.imag = part(), part()
+    return x
+
+
+def _rolling_b(t, u):
+    return np.roll(u, 1) * (1.0 + t)
+
+
+def _rolling_flows():
+    """A flows as u * t, B as u moved by one place times (1 + t): a term's
+    result has each value moved by its count of B substeps, so the terms put
+    different values at one index."""
+    return FlowPair(lambda t, u: u * t, _rolling_b)
+
+
+class TestInPlaceCombine:
+    """apply's compensated combine, in place in the term results and one
+    more array, byte for byte against `apply_allocating` and
+    `combine_allocating`, which allocate an array per operation."""
+
+    @pytest.fixture(autouse=True)
+    def _no_float_warnings(self):
+        with np.errstate(all="ignore"):
+            yield
+
+    @pytest.mark.parametrize("tau", [1.0, -0.75])
+    @pytest.mark.parametrize("complex_state", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("name", COMBINED)
+    def test_special_values(self, name, complex_state, tau, path):
+        state = _special_state(complex_state)
+        before = state.tobytes()
+        out = apply(catalog(name), _rolling_flows(), tau, state)
+        ref = apply_allocating(catalog(name), _rolling_flows(), tau, state)
+        assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
+        assert state.tobytes() == before
+
+    @pytest.mark.parametrize("name", COMBINED)
+    def test_every_sign_of_zero(self, name, path):
+        """Index j holds a zero in each term whose sign is bit i of j times
+        the sign of weight i, so one index sums k products -0.0; a sum that
+        starts from +0.0 is +0.0 at every index."""
+        weights = catalog(name).plan.weights
+        k = len(weights)
+        j = np.arange(2 ** k)
+        results = [np.where((j >> i) & 1, -0.0, 0.0) * np.sign(w) for i, w in enumerate(weights)]
+        ref = combine_allocating(weights, results)
+        assert not np.signbit(ref).any()
+        terms = _term_buffers(results, None)
+        _combine(weights, results, terms, np.empty(j.size))
+        assert terms[-1].tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("complex_state", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("name", COMBINED)
+    def test_identity_flows_return_the_state(self, name, complex_state, path):
+        """Every result is the state itself: the sum goes into new arrays."""
+        identity = FlowPair(lambda t, u: u, lambda t, u: u)
+        state = _special_state(complex_state).reshape(8, 12)
+        before = state.tobytes()
+        out = apply(catalog(name), identity, 0.5, state)
+        assert out.tobytes() == apply_allocating(catalog(name), identity, 0.5, state).tobytes()
+        assert state.tobytes() == before and not np.shares_memory(out, state)
+
+    def test_two_terms_return_one_array(self, path):
+        """s4_2's terms 1 and 3 end with a B substep, which returns one array."""
+        shared = _special_state(False)
+        kept = shared.tobytes()
+        flows = FlowPair(lambda t, u: u * t, lambda t, u: shared)
+        state = _special_state(True).real.copy()
+        before = state.tobytes()
+        out = apply(catalog("s4_2"), flows, 0.5, state)
+        assert out.tobytes() == apply_allocating(catalog("s4_2"), flows, 0.5, state).tobytes()
+        assert shared.tobytes() == kept and state.tobytes() == before
+
+    @pytest.mark.parametrize("result", ["float32", "read_only", "fortran_order", "view_of_state"])
+    @pytest.mark.parametrize("name", COMBINED)
+    def test_results_the_step_does_not_own(self, name, result, path):
+        state = _special_state(False).reshape(8, 12)
+        before = state.tobytes()
+        if result == "float32":
+            flows = FlowPair(lambda t, u: (u * t).astype(np.float32), _rolling_b)
+        elif result == "read_only":
+            def b_flow(t, u):
+                out = _rolling_b(t, u)
+                out.flags.writeable = False
+                return out
+            flows = FlowPair(lambda t, u: u * t, b_flow)
+        elif result == "fortran_order":
+            flows = FlowPair(lambda t, u: np.asfortranarray(u * t), _rolling_b)
+        else:  # a view of the input from A, and from B at t = tau / 2
+            flows = FlowPair(lambda t, u: u[:],
+                             lambda t, u: u[:] if t == 0.25 else _rolling_b(t, u))
+        out = apply(catalog(name), flows, 0.5, state)
+        ref = apply_allocating(catalog(name), flows, 0.5, state)
+        assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
+        assert state.tobytes() == before
+
+    def test_term_buffers(self):
+        state = np.zeros(4)
+        fresh, other = np.ones(4), np.ones(4)
+        read_only = np.ones(4)
+        read_only.flags.writeable = False
+        results = [fresh, state, read_only, np.ones(8)[::2], np.ones(4, np.float32),
+                   other, other, state[1:]]
+        terms = _term_buffers(results, state)
+        assert terms[0] is fresh
+        for r, t in zip(results[1:], terms[1:]):
+            assert t is not r and not np.may_share_memory(t, r)
+            assert t.dtype == float and t.shape == (4,) and t.flags.c_contiguous
+        assert len({id(t) for t in terms}) == len(terms)
+
+
 class TestSplitCombine:
-    """The compensated combine over two parts of the flat indices, against
-    one call over all of them."""
+    """The in-place combine over two parts of the flat indices, as after a
+    two-bin step, against `combine_allocating` over all of them."""
 
     @pytest.mark.parametrize("size", [1, 3, 7, 255, 1001])
     @pytest.mark.parametrize("name", ["s4_2", "s6", "s10"])
@@ -339,20 +480,17 @@ class TestSplitCombine:
         weights = catalog(name).plan.weights
         results = [rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8, size)
                    for _ in weights]
-        ref = _combine(weights, results)
-        out = np.empty_like(ref)
-        half = size // 2
-        _combine(weights, results, out, slice(half, None))
-        _combine(weights, results, out, slice(0, half))
-        assert out.tobytes() == ref.tobytes()
-        assert _combine_on_two_threads(weights, results).tobytes() == ref.tobytes()
+        ref = combine_allocating(weights, results)
+        terms, comp = _term_buffers(results, None), np.empty(size)
+        _combine(weights, results, terms, comp, slice(size // 2, None))
+        _combine(weights, results, terms, comp, slice(0, size // 2))
+        assert terms[-1].tobytes() == ref.tobytes()
 
-    def test_two_dimensional_complex_results(self):
+    def test_two_dimensional_complex_results(self, monkeypatch):
+        monkeypatch.setattr(schemes, "SERIAL_MAX_BYTES", 0)
         rng = np.random.default_rng(5)
-        weights = catalog("s8").plan.weights
-        results = [rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-                   for _ in weights]
-        ref = _combine(weights, results)
-        out = _combine_on_two_threads(weights, results)
+        state = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+        out = apply(catalog("s8"), _rolling_flows(), 0.5, state)
+        ref = apply_allocating(catalog("s8"), _rolling_flows(), 0.5, state)
         assert out.shape == ref.shape and out.dtype == ref.dtype
         assert out.tobytes() == ref.tobytes()
