@@ -69,6 +69,15 @@ COMMANDS = (
      "--tfinal", "1/4", "--format", "json"),
     ("run", "--config", "fixed.json"),
     ("run", "--config", "adaptive.json", "--format", "json"),
+    # the rho = 0 phase rotation, from rho = -0 and on the nonlinear model
+    ("run", "--model", "nls_linear", "--scheme", "s6", "--nx", "64", "--tau", "1/50",
+     "--tfinal", "1/10", "--param", "rho=-0", "--out", "out"),
+    ("run", "--model", "nls_nonlinear", "--scheme", "s4_2", "--nx", "64", "--tau", "1/50",
+     "--tfinal", "1/10", "--param", "rho=0", "--out", "out"),
+    # states past the truncation window M, so the truncations clip
+    ("preset", "fkpp", "--nx", "32", "--tfinal", "1/100", "--param", "M=0.5", "--out", "out"),
+    ("run", "--model", "cac", "--scheme", "s4_3", "--nx", "32", "--tau", "1/100",
+     "--tfinal", "1/20", "--param", "M=0.5", "--out", "out"),
 )
 
 

@@ -14,11 +14,11 @@ ENTRIES = json.loads(TABLE.read_text())["entries"]
 
 def _name(entry):
     """The command (with a preset's name), then the value of each of its
-    --model, --scheme, --seed and --config."""
+    --model, --scheme, --seed, --config and --param."""
     argv = entry["argv"]
     head = argv[:2] if argv[0] == "preset" else argv[:1]
     return "-".join(head + [argv[i + 1] for i, a in enumerate(argv)
-                            if a in ("--model", "--scheme", "--seed", "--config")])
+                            if a in ("--model", "--scheme", "--seed", "--config", "--param")])
 
 
 def test_table_lists_every_command():
