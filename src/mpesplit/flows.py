@@ -96,6 +96,19 @@ def rotation(theta):
     return rot
 
 
+def distinct_values(x):
+    """(values, index): the distinct values of the float array x, told apart
+    by their bits, and the place of each element of x among them, shaped
+    like x. values[index] is x bit for bit: -0.0 and +0.0, and NaNs with
+    different payloads, keep entries of their own, which `np.unique` on the
+    values would merge. The index is found by a search of the sorted bits,
+    not by `np.unique`'s inverse, whose argsort and cumulative sum hold
+    three more index-sized arrays while it runs."""
+    bits = np.ascontiguousarray(x, dtype=float).view(np.int64)
+    kept = np.unique(bits)
+    return kept.view(float), np.searchsorted(kept, bits)
+
+
 def flow_phase(v, omega, rho: float, tau: float):
     """Exact flow of u' = i*(omega + rho*|u|^2)*u; |u| is pointwise invariant.
 
@@ -110,7 +123,7 @@ def flow_phase(v, omega, rho: float, tau: float):
 
 def ssprk104(f, v, tau: float, substeps: int = 4):
     """SSP-RK(10,4) in the two-register low-storage form, `substeps` equal
-    steps (at least 1; `models.flow_pair` checks the count a run asks for).
+    steps (at least 1; `harness.check_config` checks the count a run asks for).
 
     f maps an array to an array of the same shape (systems stack components
     along axis 0). No spatial coupling is assumed beyond what f itself does.

@@ -44,6 +44,9 @@ from .models import (
 )
 
 
+FORMATS = ("csv", "json")  # the values of RunConfig.format
+
+
 @dataclass
 class RunConfig:
     model: str = _models.DEFAULT_MODEL
@@ -69,10 +72,6 @@ class StepController:
     tau_max: float
     alpha: float
     history: list = field(default_factory=list)  # (t, E) samples, last two kept
-
-    def __post_init__(self):
-        if not (0 < self.tau_min <= self.tau_max):
-            raise ValueError("need 0 < tau_min <= tau_max")
 
     def record(self, t: float, E: float):
         self.history.append((t, E))
@@ -119,12 +118,29 @@ def checked_scheme(config: RunConfig):
     return scheme
 
 
-def _setup(config: RunConfig):
-    """(model, grid, scheme, flows) of a run or a study."""
+def check_config(config: RunConfig):
+    """The one check of a RunConfig's values; raises ValueError at the first
+    that fails. The step bounds are checked for an adaptive config only;
+    a fixed step size is checked by `_steps_for`, which makes the steps, so
+    an adaptive run never reads tau. The model, its parameters and the
+    scheme are checked where they are looked up."""
     if not (math.isfinite(config.t_final) and config.t_final >= 0):
         raise ValueError(f"final time must be finite and >= 0, got {config.t_final}")
     if config.diagnostics_every < 1:
         raise ValueError(f"diagnostics_every must be >= 1, got {config.diagnostics_every}")
+    if config.rk_substeps < 1:
+        raise ValueError("substeps must be >= 1")
+    if config.format not in FORMATS:
+        raise ValueError(f'format must be "csv" or "json", got {json.dumps(config.format)}')
+    if config.nx is not None and (config.nx < 2 or config.nx % 2 != 0):
+        raise ValueError(f"n_per_axis must be even and >= 2, got {config.nx}")
+    if config.adaptive and not (0 < config.tau_min <= config.tau_max):
+        raise ValueError("need 0 < tau_min <= tau_max")
+
+
+def _setup(config: RunConfig):
+    """(model, grid, scheme, flows) of a run or a study, after `check_config`."""
+    check_config(config)
     model = make_model(config.model, **config.overrides)
     grid = default_grid(model, config.nx)
     scheme = checked_scheme(config)

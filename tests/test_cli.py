@@ -508,7 +508,7 @@ class TestRuntimeErrors:
         (("converge", "--model", "nls_linear", "--nx", "0", "--taus", "0.1,0.05",
           "--reference", "exact"), "even and >= 2, got 0"),
         (("preset", "fkpp", "--nx", "0", "--tfinal", "0"), "even and >= 2, got 0"),
-        # only argparse checks --format; a config file's format is checked on load
+        # argparse checks --format; a config file's format is checked with the run's values
         (("run", "--config", '{"format": "xml"}'), 'format must be "csv" or "json", got "xml"'),
         (("run", "--config", '{"model": "toy", "nx": 16, "format": "CSV"}'),
          'format must be "csv" or "json", got "CSV"'),

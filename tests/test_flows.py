@@ -15,7 +15,7 @@ from mpesplit.flows import (
     truncate_double_well,
     truncate_fkpp,
 )
-from mpesplit import flows, models
+from mpesplit import flows, harness, models
 from mpesplit.models import default_grid, flow_pair, initial_condition, make_model, potential
 from reference_flows import (
     conservative_rhs_mean,
@@ -299,9 +299,8 @@ class TestSsprk104:
     def test_substep_validation(self):
         # checked at set-up, also for toy, whose B flow never runs RK
         for model_id in ("toy", "ac", "fkpp", "rd_system"):
-            m = make_model(model_id)
             with pytest.raises(ValueError, match="substeps must be >= 1"):
-                flow_pair(m, default_grid(m, 16), rk_substeps=0)
+                harness._setup(harness.RunConfig(model=model_id, nx=16, rk_substeps=0))
 
     def test_fourth_order_in_substeps(self):
         # error vs the closed double-well flow decays with slope 4 in the
@@ -503,6 +502,25 @@ class TestRhsShortcuts:
                 got = fast(u, out=out, work=work)
                 expected = ref(u)
             assert got is out and got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("M", [0.0, -0.0])
+    def test_zero_window_bytes(self, M):
+        # every nonzero value lies outside [-M, M] and clips to a signed
+        # zero; a state of signed zeros alone lies inside and skips the clip.
+        # A test of its own: the uniform draws above refuse M = -0.0
+        nans = np.array([0x7FF8000000000123, 0xFFF8000000ABC000, 0x7FF4000000000001],
+                        dtype=np.uint64).view(float)
+        rng = np.random.default_rng(24)
+        zeros = np.where(rng.random(40) < 0.5, 0.0, -0.0)
+        outside = np.concatenate([zeros, [0.5, -0.5, 7.0, -7.0, 5e-324, -5e-324, 1e300,
+                                          -1e300, np.inf, -np.inf], nans])
+        for u in (zeros, outside):
+            for fast, ref in self._pairs(M):
+                with np.errstate(invalid="ignore", over="ignore"):
+                    expected = ref(u)
+                    for test_window in (True, False):
+                        got = fast(u, test_window=test_window)
+                        assert got.tobytes() == expected.tobytes(), test_window
 
     @pytest.mark.parametrize("M", [0.5, 6.0])
     def test_untested_window_bytes(self, M):

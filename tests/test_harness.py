@@ -17,6 +17,7 @@ from mpesplit.harness import (
     StepController,
     _steps_for,
     adaptive_tau,
+    check_config,
     convergence_csv,
     convergence_study,
     diagnostics_csv,
@@ -67,10 +68,10 @@ class TestStepsFor:
 
 class TestController:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            StepController(0.0, 0.1, 1.0)
-        with pytest.raises(ValueError):
-            StepController(0.2, 0.1, 1.0)
+        # the bounds are checked with the rest of an adaptive config
+        for lo, hi in ((0.0, 0.1), (0.2, 0.1)):
+            with pytest.raises(ValueError, match="need 0 < tau_min <= tau_max"):
+                check_config(RunConfig(adaptive=True, tau_min=lo, tau_max=hi))
 
     def test_history_keeps_last_two(self):
         c = StepController(0.01, 0.1, 1.0)
@@ -103,6 +104,49 @@ class TestController:
         c = StepController(0.02, 0.08, 1e4)
         for ep in (0.0, 1e-4, 1e-2, 1.0, 1e3):
             assert 0.02 <= adaptive_tau(c, ep) <= 0.08
+
+
+class TestCheckConfig:
+    """`check_config`, the one check of a RunConfig's values, which every
+    run and study makes at set-up."""
+
+    @pytest.mark.parametrize("change,reason", [
+        (dict(t_final=math.inf), "final time must be finite and >= 0, got inf"),
+        (dict(t_final=-0.5), "final time must be finite and >= 0, got -0.5"),
+        (dict(diagnostics_every=0), "diagnostics_every must be >= 1, got 0"),
+        (dict(rk_substeps=0), "substeps must be >= 1"),
+        (dict(format="xml"), 'format must be "csv" or "json", got "xml"'),
+        (dict(nx=0), "n_per_axis must be even and >= 2, got 0"),
+        (dict(nx=7), "n_per_axis must be even and >= 2, got 7"),
+        (dict(adaptive=True, tau_min=0.2, tau_max=0.1), "need 0 < tau_min <= tau_max"),
+    ])
+    def test_each_check(self, change, reason):
+        config = RunConfig(**{"model": "toy", "nx": 16, "t_final": 0.1, **change})
+        with pytest.raises(ValueError) as exc:
+            check_config(config)
+        assert str(exc.value) == reason
+        for entry in (run, harness.run_state,
+                      lambda c: convergence_study(c, [0.05], "exact"),
+                      lambda c: random_grid_study(c, [2], "exact")):
+            if entry is harness.run_state and config.adaptive:
+                continue  # refused as adaptive before set-up
+            with pytest.raises(ValueError, match=reason):
+                entry(replace(config, model="nls_linear"))
+
+    def test_defaults_and_presets_pass(self):
+        check_config(RunConfig())
+        for name in preset_names():
+            check_config(preset(name))
+
+    def test_fixed_steps_ignore_the_bounds(self):
+        # a fixed-step run reads neither bound, and an adaptive run never
+        # reads tau
+        config = RunConfig(model="toy", nx=16, tau=0.1, t_final=0.2, tau_min=0.5, tau_max=0.1)
+        check_config(config)
+        assert run(config).status == "ok"
+        adaptive = RunConfig(model="toy", nx=16, tau=0.0, t_final=0.2, adaptive=True)
+        check_config(adaptive)
+        assert run(adaptive).status == "ok"
 
 
 class TestRun:

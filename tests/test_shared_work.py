@@ -5,6 +5,8 @@ and the compensated combine, run in place in the term results on one or
 two threads, against one that allocates an array per operation."""
 
 import dataclasses
+import math
+import sys
 import threading
 import weakref
 from fractions import Fraction as F
@@ -12,8 +14,8 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from mpesplit import schemes
-from mpesplit.flows import flow_phase
+from mpesplit import models, schemes
+from mpesplit.flows import distinct_values, flow_phase, rotation
 from mpesplit.grid import SpectralGrid, forward_spectrum, linear_propagate, propagate_spectrum
 from mpesplit.models import (
     default_grid,
@@ -257,10 +259,10 @@ class TestSharedForwardErrors:
 
 
 def _phase_flow(omega, rho=0.0):
-    """The B flow of nls_linear on a 4 x 4 grid with potential omega, and omega."""
+    """The B flow of nls_linear on the n x n grid of the potential omega, and omega."""
     m = dataclasses.replace(make_model("nls_linear", rho=rho),
                             potential=lambda X, Y: np.array(omega, dtype=float))
-    g = default_grid(m, 4)
+    g = default_grid(m, np.shape(omega)[0])
     return flow_pair(m, g).b_flow, potential(m, g)
 
 
@@ -330,6 +332,132 @@ class TestPhaseRotation:
         u = initial_condition(m, g)
         out = flow_pair(m, g).b_flow(0.2, u)
         assert out.tobytes() == flow_phase(u, potential(m, g), -1.0, 0.2).tobytes()
+
+
+# signed zeros, small to huge step sizes, and one whose angles are far past 2 pi
+_TABLE_TAUS = (0.0, -0.0, 1e-3, 0.37, -2.5, 1e5, 1e12, 1e200)
+
+
+def _no_fallback(*args):
+    raise AssertionError("flow_phase called: the product left the window")
+
+
+class TestPhaseTable:
+    """The rho = 0 rotation made from the table of the potential's distinct
+    values, against `rotation` and `flow_phase` over the whole grid, byte
+    for byte."""
+
+    @pytest.mark.parametrize("n", [4, 64, 256, 400])
+    @pytest.mark.parametrize("model_id,rho", [("nls_linear", 0.0), ("nls_linear", -0.0),
+                                              ("nls_nonlinear", 0.0)])
+    def test_models(self, model_id, rho, n, monkeypatch):
+        m = make_model(model_id, rho=rho)
+        g = default_grid(m, n)
+        b_flow = flow_pair(m, g).b_flow
+        om = potential(m, g)
+        u = initial_condition(m, g)
+        expected = {tau: flow_phase(u, om, rho, tau).tobytes() for tau in _TABLE_TAUS}
+        monkeypatch.setattr(models, "flow_phase", _no_fallback)  # every call is the table's
+        for tau in _TABLE_TAUS + _TABLE_TAUS[::-1]:
+            assert b_flow(tau, u).tobytes() == expected[tau], tau
+        if n >= 64:  # the grid repeats values, which is what the table saves
+            assert distinct_values(om + rho * 0.0)[0].size < om.size / 5
+
+    def test_potential_of_distinct_values(self, monkeypatch):
+        om = np.random.default_rng(4).uniform(-3.0, 3.0, (64, 64))
+        assert distinct_values(om)[0].size == om.size
+        b_flow, om = _phase_flow(om)
+        rng = np.random.default_rng(5)
+        u = rng.standard_normal(om.shape) + 1j * rng.standard_normal(om.shape)
+        expected = {tau: flow_phase(u, om, 0.0, tau).tobytes() for tau in _TABLE_TAUS}
+        monkeypatch.setattr(models, "flow_phase", _no_fallback)
+        for tau in _TABLE_TAUS:
+            assert b_flow(tau, u).tobytes() == expected[tau], tau
+
+    @pytest.mark.parametrize("rho", [0.0, -0.0])
+    def test_special_potential(self, rho):
+        # the rotation of a NaN or an infinity is NaN, so b_flow returns
+        # flow_phase itself; the table's own rotation is checked as well
+        om = np.tile(np.concatenate([SPECIALS, [1.5, -2.0]]), 5)[:64].reshape(8, 8)
+        u = np.full(om.shape, 0.5 - 0.25j)
+        with np.errstate(all="ignore"):
+            b_flow, om = _phase_flow(om, rho)
+            om0 = om + rho * 0.0
+            values, index = distinct_values(om0)
+            assert values[index].tobytes() == om0.tobytes()
+            # the 14 SPECIALS, 1.5 and -2.0 keep their bits under + -0.0,
+            # apart from the signalling NaNs, which turn quiet with their
+            # payloads; + 0.0 also turns -0.0 into +0.0
+            assert values.size == (16 if math.copysign(1.0, rho) < 0 else 15)
+            for tau in _TABLE_TAUS:
+                assert rotation(tau * values)[index].tobytes() == rotation(tau * om0).tobytes()
+                assert b_flow(tau, u).tobytes() == flow_phase(u, om, rho, tau).tobytes()
+
+    def test_flow_pairs_keep_their_own_tables(self, monkeypatch):
+        # the same shape with another potential, and another shape, called in turn
+        pairs = []
+        for model_id, n in (("nls_linear", 64), ("nls_nonlinear", 64), ("nls_linear", 32)):
+            m = make_model(model_id, rho=0.0)
+            g = default_grid(m, n)
+            pairs.append((flow_pair(m, g).b_flow, potential(m, g), initial_condition(m, g)))
+        expected = [{tau: flow_phase(u, om, 0.0, tau).tobytes() for tau in _TABLE_TAUS}
+                    for _, om, u in pairs]
+        monkeypatch.setattr(models, "flow_phase", _no_fallback)
+        for tau in _TABLE_TAUS:
+            for (b_flow, _, u), bytes_of in zip(pairs, expected):
+                assert b_flow(tau, u).tobytes() == bytes_of[tau], tau
+
+    def test_made_once_per_flow_pair_on_first_call(self, monkeypatch):
+        made = []
+        monkeypatch.setattr(models, "distinct_values", lambda x: made.append(1) or distinct_values(x))
+        m = make_model("nls_linear")
+        g = default_grid(m, 16)
+        b_flow = flow_pair(m, g).b_flow
+        assert made == []  # setting the pair up sorts nothing
+        u = initial_condition(m, g)
+        for tau in (0.1, 0.2, 0.1):
+            b_flow(tau, u)
+        worker = threading.Thread(target=b_flow, args=(0.3, u))
+        worker.start()
+        worker.join(timeout=60)
+        assert made == [1]
+        flow_pair(make_model("nls_nonlinear"), g).b_flow(0.1, u)  # rho != 0 takes none
+        assert made == [1]
+
+    def test_threads_start_together(self, monkeypatch):
+        # four threads, more than the cores, with a short switch interval,
+        # each asking a new pair for its first rotation at once
+        m = make_model("nls_linear")
+        g = default_grid(m, 64)
+        om = potential(m, g)
+        u = initial_condition(m, g)
+        expected = {tau: flow_phase(u, om, 0.0, tau).tobytes() for tau in _TABLE_TAUS}
+        made, wrong = [], []
+        monkeypatch.setattr(models, "distinct_values", lambda x: made.append(1) or distinct_values(x))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                b_flow = flow_pair(m, g).b_flow
+                start = threading.Barrier(4)
+
+                def worker(taus):
+                    start.wait()
+                    for _ in range(3):
+                        for tau in taus:
+                            if b_flow(tau, u).tobytes() != expected[tau]:
+                                wrong.append(tau)
+
+                threads = [threading.Thread(target=worker, args=(ts,))
+                           for ts in (_TABLE_TAUS, _TABLE_TAUS[::-1]) * 2]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == [] and made == [1] * 5
 
 
 # signed zeros, infinities, subnormals, +-1e308 (twice that overflows) and
