@@ -9,13 +9,11 @@ The symbol is a sum over axes, so the multiplier is the outer product of
 one 1-D exponential per axis. `linear_propagate` never builds it on the
 grid: it scales the fresh spectrum in place by each axis's factor, so a
 step size that never repeats costs exponentials of 1-D arrays and not of
-the whole grid, and then inverts that spectrum, its own temporary, with
-`overwrite_x=True`. The state it is given is never written. A real
-state's inverse runs one axis at a time (`_inverse_real`), so it holds no
-second copy of the spectrum and is still bit-identical to `irfftn`. A
-system's components, stacked along a leading axis with one coefficient
-each, go through one transform over the grid's axes, each component's
-spectrum scaled by its own factors.
+the whole grid, and then inverts that spectrum, its own temporary, in
+place. The state it is given is never written. A system's components,
+stacked along a leading axis with one coefficient each, go through one
+transform over the grid's axes, each component's spectrum scaled by its
+own factors.
 
 `linear_propagate` is two pieces, which a caller can also run apart:
 `forward_spectrum` transforms a state, and `propagate_spectrum` scales and
@@ -23,6 +21,10 @@ inverts that spectrum for one step size, spending it. The terms of a
 splitting step that all start from one state with a linear substep share
 one forward transform this way, each scaling a copy of the spectrum but
 the last (see `schemes`).
+
+The transforms are numpy's 1-D pocketfft passes, called in the order and
+with the scaling of `scipy.fft`'s n-D transforms (see "the FFT layer"
+below), so they give scipy's bytes without importing scipy.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import fft as _fft
 
 
 class SpectralGrid:
@@ -94,7 +95,7 @@ class SpectralGrid:
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         """Unnormalized forward DFT."""
-        return _fft.fftn(values)
+        return _fft2(values)
 
     def integrate(self, values: np.ndarray) -> float | complex:
         """Rectangle rule h^2 * sum, spectrally accurate for periodic data."""
@@ -106,7 +107,7 @@ class SpectralGrid:
         derivatives, Nyquist zeroed, up to round-off. The power spectrum is
         built in one buffer beside the spectrum, whose imaginary part is
         squared in place."""
-        spec = _fft.rfftn(values)
+        spec = _rfft2(values)
         np.square(spec.imag, out=spec.imag)
         power = np.square(spec.real)
         power += spec.imag
@@ -124,24 +125,99 @@ class SpectralGrid:
         return f"SpectralGrid(n={self.n}, length={self.length})"
 
 
+# ---------------------------------------------------------------------------
+# the FFT layer
+#
+# Every transform is over the last two axes; axes before them index separate
+# transforms. Each is numpy's 1-D passes in the order and with the scaling
+# of the matching `scipy.fft` n-D call, which runs the same pocketfft, so on
+# finite values the bytes are scipy's:
+#   `_rfft2`  = rfftn: the real pass along the last axis, then the complex
+#               pass along the first grid axis, in place;
+#   `_fft2`   = fftn: the first grid axis, then the last. numpy's own `fftn`
+#               runs the last axis first and rounds differently. A real
+#               input is `_rfft2` with its other columns filled from
+#               conjugate symmetry, as scipy fills them;
+#   `_ifft2`  = ifftn: the unscaled inverse along the first grid axis, a
+#               scaling by 1/N^2 rounded from long double, then the unscaled
+#               inverse along the last axis, all in place;
+#   `_inverse_real` = irfftn: the unscaled inverse along the first grid
+#               axis in place, the unscaled real inverse along the last, then
+#               the same scaling.
+# Where a value is NaN the sign and payload of the NaNs that come out may
+# differ from scipy's, since IEEE 754 does not fix them; every other bit,
+# infinities and signed zeros included, is the same.
+
+
+def _inverse_scale(points: int) -> float:
+    """1 / points, rounded from long double, as pocketfft rounds its
+    normalisation factor."""
+    return float(np.longdouble(1) / np.longdouble(points))
+
+
+def _rfft2(values: np.ndarray) -> np.ndarray:
+    """Half spectrum of a real array, as `scipy.fft.rfftn` over the last two
+    axes."""
+    spec = np.fft.rfft(values, axis=-1)
+    return np.fft.fft(spec, axis=-2, out=spec)
+
+
+def _fft2(values: np.ndarray) -> np.ndarray:
+    """Full spectrum, as `scipy.fft.fftn` over the last two axes."""
+    if np.isrealobj(values):
+        return _fft2_of_real(values)
+    spec = np.fft.fft(values, axis=-2)
+    return np.fft.fft(spec, axis=-1, out=spec)
+
+
+def _fft2_of_real(values: np.ndarray) -> np.ndarray:
+    """scipy's complex transform of a real array: the half spectrum, each
+    other column filled with the conjugates of its mirrored entries. scipy
+    fills in one pass over the half in row order, writing each entry's
+    conjugate to its mirror. Columns 0 and N/2 are their own mirrors, so
+    there row 0 and rows M/2 and up end as the conjugates of their mirrored
+    rows (rows 0 and M/2 of themselves), and the rows between keep their
+    values."""
+    half = _rfft2(values)
+    m, n = values.shape[-2:]
+    h = n // 2
+    full = np.empty(values.shape, dtype=complex)
+    full[..., :h + 1] = half
+    mirror = -np.arange(m) % m
+    full[..., h + 1:] = np.conj(half[..., mirror, h - 1:0:-1])
+    rows = np.r_[0, m // 2:m]
+    for col in (0, h):
+        full[..., rows, col] = np.conj(half[..., mirror[rows], col])
+    return full
+
+
+def _ifft2(spec: np.ndarray) -> np.ndarray:
+    """Inverse of a full spectrum over itself, as `scipy.fft.ifftn` over the
+    last two axes with `overwrite_x`."""
+    np.fft.ifft(spec, axis=-2, norm="forward", out=spec)
+    # each part on its own, as pocketfft scales: a complex product would
+    # add a NaN for inf * 0 and could turn a -0.0 part into +0.0
+    parts = spec.view(np.float64)
+    parts *= _inverse_scale(spec.shape[-2] * spec.shape[-1])
+    return np.fft.ifft(spec, axis=-1, norm="forward", out=spec)
+
+
+def _inverse_real(spec: np.ndarray, n_last: int) -> np.ndarray:
+    """Real inverse of a half spectrum, as `scipy.fft.irfftn` over the last
+    two axes with output length n_last along the last, without the full
+    copy of the spectrum `irfftn` makes: the spectrum is spent, and the
+    output is the only new array."""
+    np.fft.ifft(spec, axis=-2, norm="forward", out=spec)
+    out = np.fft.irfft(spec, n=n_last, axis=-1, norm="forward")
+    out *= _inverse_scale(spec.shape[-2] * n_last)
+    return out
+
+
 def _scale_by_axes(spec: np.ndarray, c: complex, k2_first: np.ndarray,
                    k2_last: np.ndarray) -> None:
     """spec *= exp(c * lambda) in place, one 1-D factor per axis."""
     spec *= np.exp(c * k2_first)[:, None]
     spec *= np.exp(c * k2_last)
-
-
-def _inverse_real(spec: np.ndarray, n_last: int) -> np.ndarray:
-    """`irfftn` over the last two axes of a half spectrum, bit-identical to
-    it, without the full copy of the spectrum `irfftn` makes internally:
-    the unscaled inverse along the first grid axis overwrites spec, the
-    unscaled real inverse along the last axis makes the output, and that is
-    then scaled by 1/N^2 rounded from long double, as pocketfft rounds it.
-    Axes before the last two index separate transforms."""
-    spec = _fft.ifftn(spec, axes=(-2,), norm="forward", overwrite_x=True)
-    out = _fft.irfftn(spec, s=(n_last,), axes=(-1,), norm="forward")
-    out *= float(np.longdouble(1) / np.longdouble(n_last**2))
-    return out
 
 
 def _coefficients(nu) -> list:
@@ -178,12 +254,9 @@ def forward_spectrum(values: np.ndarray, nu, grid: SpectralGrid) -> Spectrum:
     if np.shape(values) != shape:
         raise ValueError(f"state shape {np.shape(values)} does not match grid {grid.shape}"
                          + (f" with {len(nus)} components" if stacked else ""))
-    # scipy.fft spends about 5 us on an explicit axes argument, a sixth of
-    # a 64^2 real transform, so a single state transforms all its axes
-    axes = (-2, -1) if stacked else None
     if np.isrealobj(values) and all(c.imag == 0 for c in nus):
-        return Spectrum(_fft.rfftn(values, axes=axes), True)
-    return Spectrum(_fft.fftn(values, axes=axes), False)
+        return Spectrum(_rfft2(values), True)
+    return Spectrum(_fft2(values), False)
 
 
 def propagate_spectrum(spectrum: Spectrum, nu, tau: float, grid: SpectralGrid,
@@ -202,7 +275,7 @@ def propagate_spectrum(spectrum: Spectrum, nu, tau: float, grid: SpectralGrid,
         return _inverse_real(spec, grid.n)
     for part, c in zip(parts, nus):
         _scale_by_axes(part, -tau * c, grid._k2, grid._k2)
-    return _fft.ifftn(spec, axes=(-2, -1) if stacked else None, overwrite_x=True)
+    return _ifft2(spec)
 
 
 def linear_propagate(values: np.ndarray, nu, tau: float, grid: SpectralGrid,

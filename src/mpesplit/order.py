@@ -10,7 +10,6 @@ Schemes with decimal-truncated coefficients are evaluated in floats with a
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -111,10 +110,6 @@ def verify_conditions(scheme: SplitScheme, up_to: int = 3):
     return reports
 
 
-def passes_order(scheme: SplitScheme, k: int) -> bool:
-    return all(r.satisfied for r in verify_conditions(scheme, min(k, 3)))
-
-
 # ---------------------------------------------------------------------------
 # dense matrix oracle
 
@@ -149,38 +144,20 @@ def _expm_pade(M: np.ndarray) -> np.ndarray:
     return expm(M)
 
 
-def expm_series(M: np.ndarray) -> np.ndarray:
-    """Scaling-and-squaring Taylor exponential, independent of the Pade route."""
-    M = np.asarray(M, dtype=float)
-    norm = np.linalg.norm(M, np.inf)
-    s = max(0, int(math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0)
-    X = M / (2**s)
-    out = np.eye(M.shape[0])
-    term = np.eye(M.shape[0])
-    for k in range(1, 60):
-        term = term @ X / k
-        out = out + term
-        if np.linalg.norm(term, np.inf) < 1e-18 * np.linalg.norm(out, np.inf):
-            break
-    for _ in range(s):
-        out = out @ out
-    return out
-
-
-def matrix_flows(oracle: MatrixOraclePair, expm=_expm_pade) -> FlowPair:
+def matrix_flows(oracle: MatrixOraclePair) -> FlowPair:
     """Flow pair x -> expm(tau A) x with per-coefficient caching."""
     cache_a, cache_b = {}, {}
 
     def a_flow(tau, x):
         K = cache_a.get(tau)
         if K is None:
-            K = cache_a[tau] = expm(tau * oracle.A)
+            K = cache_a[tau] = _expm_pade(tau * oracle.A)
         return K @ x
 
     def b_flow(tau, x):
         K = cache_b.get(tau)
         if K is None:
-            K = cache_b[tau] = expm(tau * oracle.B)
+            K = cache_b[tau] = _expm_pade(tau * oracle.B)
         return K @ x
 
     return FlowPair(a_flow, b_flow)

@@ -582,3 +582,29 @@ class TestListings:
                               text=True, env=env)
         assert proc.returncode == 0
         assert "nls_linear" in proc.stdout
+
+
+class TestImports:
+    RUNS = (
+        ["run", "--model", "ac", "--scheme", "s4_4", "--nx", "16", "--tau", "1/10",
+         "--tfinal", "1/5"],
+        ["run", "--model", "nls_linear", "--scheme", "s4_2", "--nx", "16", "--tau", "1/20",
+         "--tfinal", "1/10"],
+        ["run", "--model", "rd_system", "--scheme", "s3_1", "--nx", "16", "--tau", "1/100",
+         "--tfinal", "1/50"],
+    )
+
+    def test_runs_leave_scipy_unloaded(self):
+        # a real state, a complex state and a stacked system, each with its
+        # energy rows: the run path transforms with numpy alone
+        root = str(Path(mpesplit.__file__).resolve().parents[1])
+        code = ("import contextlib, io, json, sys\n"
+                "sys.path.insert(0, sys.argv[1])\n"
+                "from mpesplit.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    codes = [main(argv) for argv in json.loads(sys.argv[2])]\n"
+                "print(json.dumps([codes, sorted(m for m in sys.modules\n"
+                "                                if m.partition('.')[0] == 'scipy')]))")
+        proc = subprocess.run([sys.executable, "-c", code, root, json.dumps(self.RUNS)],
+                              capture_output=True, text=True, timeout=120, check=True)
+        assert json.loads(proc.stdout) == [[0, 0, 0], []]
