@@ -146,7 +146,9 @@ class SpectralGrid:
 #               the same scaling.
 # Where a value is NaN the sign and payload of the NaNs that come out may
 # differ from scipy's, since IEEE 754 does not fix them; every other bit,
-# infinities and signed zeros included, is the same.
+# infinities and signed zeros included, is the same. This holds in double
+# precision, which every state of a run is; numpy's single-precision passes
+# keep the dtype but round apart from scipy's.
 
 
 def _inverse_scale(points: int) -> float:
@@ -181,7 +183,7 @@ def _fft2_of_real(values: np.ndarray) -> np.ndarray:
     half = _rfft2(values)
     m, n = values.shape[-2:]
     h = n // 2
-    full = np.empty(values.shape, dtype=complex)
+    full = np.empty(values.shape, dtype=half.dtype)
     full[..., :h + 1] = half
     mirror = -np.arange(m) % m
     full[..., h + 1:] = np.conj(half[..., mirror, h - 1:0:-1])
@@ -197,7 +199,7 @@ def _ifft2(spec: np.ndarray) -> np.ndarray:
     np.fft.ifft(spec, axis=-2, norm="forward", out=spec)
     # each part on its own, as pocketfft scales: a complex product would
     # add a NaN for inf * 0 and could turn a -0.0 part into +0.0
-    parts = spec.view(np.float64)
+    parts = spec.view(spec.real.dtype)
     parts *= _inverse_scale(spec.shape[-2] * spec.shape[-1])
     return np.fft.ifft(spec, axis=-1, norm="forward", out=spec)
 
