@@ -10,7 +10,8 @@ Regenerate the table, after a change that means to change bytes, with
 
     PYTHONPATH=src python tests/golden.py
 
-and list each changed entry in CHANGES.md.
+which prints the argv of each entry whose digests changed or are new before
+it rewrites the table; list each of them in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -78,6 +79,9 @@ COMMANDS = (
     ("preset", "fkpp", "--nx", "32", "--tfinal", "1/100", "--param", "M=0.5", "--out", "out"),
     ("run", "--model", "cac", "--scheme", "s4_3", "--nx", "32", "--tau", "1/100",
      "--tfinal", "1/20", "--param", "M=0.5", "--out", "out"),
+    # a finite ac state past the window, so the B flow takes its RK fallback
+    ("run", "--model", "ac", "--scheme", "s4_4", "--nx", "32", "--tau", "1/40",
+     "--tfinal", "1/4", "--param", "M=0.5", "--out", "out"),
 )
 
 
@@ -121,6 +125,17 @@ def table() -> dict:
             "scipy": scipy.__version__, "entries": entries}
 
 
+def changed(old: dict, new: dict) -> list:
+    """The argv of each entry of the table new whose digests differ from
+    old's entry with that argv, or that old does not have."""
+    before = {tuple(e["argv"]): e for e in old.get("entries", [])}
+    return [e["argv"] for e in new["entries"] if before.get(tuple(e["argv"])) != e]
+
+
 if __name__ == "__main__":
-    TABLE.write_text(json.dumps(table(), indent=1) + "\n")
+    new = table()
+    old = json.loads(TABLE.read_text()) if TABLE.exists() else {}
+    for argv in changed(old, new):
+        print("changed: " + " ".join(argv))
+    TABLE.write_text(json.dumps(new, indent=1) + "\n")
     print(f"wrote {TABLE}", file=sys.stderr)
