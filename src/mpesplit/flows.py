@@ -208,13 +208,9 @@ def truncate_double_well(u, M: float, out=None, work=None, test_window: bool = T
     return out
 
 
-def fkpp_constant(p: int = 5, q: int = 5) -> float:
-    """K = Gamma(p+q+2) / (Gamma(p+1) Gamma(q+1)), exact in integers."""
-    return math.factorial(p + q + 1) // (math.factorial(p) * math.factorial(q))
-
-
-# K of the printed truncation, whose branches are those of p = q = 5
-FKPP_K = fkpp_constant(5, 5)
+# K = Gamma(p+q+2) / (Gamma(p+1) Gamma(q+1)) = 11! / (5! 5!) of the printed
+# truncation, whose branches are those of p = q = 5
+FKPP_K = 2772
 
 
 def truncate_fkpp(u, M: float, out=None, work=None, test_window: bool = True):
@@ -264,14 +260,13 @@ def truncate_fkpp(u, M: float, out=None, work=None, test_window: bool = True):
     return out
 
 
-def conservative_rhs(f_base, field, out=None):
-    """f_base(u) minus its grid mean; on a uniform grid the rectangle-rule
+def conservative_rhs(fv, out=None):
+    """The array fv minus its grid mean; on a uniform grid the rectangle-rule
     mean (1/|Omega|) integral is exactly the plain mean of the samples.
 
-    The result goes to out when given, which may be the array f_base
-    returned; otherwise to a new array, so f_base's output is never modified.
-    The mean is the sum over the size, as `ndarray.mean` computes it,
-    without that method's Python-level dispatch.
+    The result goes to out when given, which may be fv itself; otherwise to
+    a new array, so fv is never modified. The mean is the sum over the size,
+    as `ndarray.mean` computes it, without that method's Python-level
+    dispatch.
     """
-    fv = np.asarray(f_base(field))
     return np.subtract(fv, np.add.reduce(fv, axis=None) / fv.size, out=out)

@@ -279,11 +279,11 @@ def write_record(record: RunRecord, grid, timestamp: str | None = None):
         with open(base + ".csv", "w") as fh:
             fh.write(diagnostics_csv(record, timestamp))
     state = record.final_state
-    if record.model.components == 1:
-        save_field(os.path.join(record.config.out_dir, "final_state"), grid, state)
+    if state.ndim == 3:  # a system: one file per component
+        for i, component in enumerate(state):
+            save_field(os.path.join(record.config.out_dir, f"final_state_{i}"), grid, component)
     else:
-        for i in range(record.model.components):
-            save_field(os.path.join(record.config.out_dir, f"final_state_{i}"), grid, state[i])
+        save_field(os.path.join(record.config.out_dir, "final_state"), grid, state)
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,6 @@ class ModelSpec:
     initial: Callable  # (model, x, y) -> state, x and y the shifted nodes of each axis
     b_flow: Callable  # (model, grid, RK substeps) -> B flow (tau, state) -> state
     M: float | None = None
-    components: int = 1
     energy: Callable | None = None  # (model, state, grid) -> float; NaN if absent
     mass: Callable | None = None  # (state, grid) -> float; integral of the state if absent
     exact: Callable | None = None  # (t, X, Y) -> state
@@ -125,23 +124,6 @@ def _ac_initial(model, x, y):
     return u
 
 
-def _ac_b_flow(model, grid, substeps):
-    M = model.M
-
-    def b_flow(tau, u):
-        # closed form while the solution sits inside the truncation window,
-        # RK on the truncated nonlinearity once it leaves it; a NaN fails
-        # both comparisons and so takes the RK branch, whose stages then
-        # skip the window test
-        if in_window(u, M):
-            return flow_double_well(u, tau)
-        out, work = _workspace(u), _workspace(u)
-        return ssprk104(lambda x: truncate_double_well(x, M, out, work, test_window=False),
-                        u, tau, substeps)
-
-    return b_flow
-
-
 def _cac_initial(model, X, Y):
     eps = model.params["eps"]
     r2 = 0.2**2
@@ -153,36 +135,39 @@ def _cac_initial(model, X, Y):
     )
 
 
-def _cac_b_flow(model, grid, substeps):
-    M = model.M
+def _truncated_b_flow(truncate, closed_form=None, conservative=False):
+    """The B flow of a model whose right-hand side is the truncation
+    `truncate(u, M, out, work, test_window)`, less its grid mean when
+    `conservative`. A call tests its input against [-M, M] once: inside,
+    `closed_form(u, tau)` is the flow where there is one; otherwise SSP-RK
+    integrates the truncation, whose stages get that test's result as
+    `test_window` (see `truncate_double_well`). A NaN fails the test."""
 
-    def b_flow(tau, u):
-        # the stages of a state outside the window clip without testing it
-        # (see truncate_double_well); from inside they test at every call
-        test = in_window(u, M)
-        out, work = _workspace(u), _workspace(u)
+    def build(model, grid, substeps):
+        M = model.M
 
-        def rhs(x):
-            return conservative_rhs(lambda y: truncate_double_well(y, M, out, work, test),
-                                    x, out)
+        def b_flow(tau, u):
+            inside = in_window(u, M)
+            if inside and closed_form is not None:
+                return closed_form(u, tau)
+            out, work = _workspace(u), _workspace(u)
 
-        return ssprk104(rhs, u, tau, substeps)
+            def rhs(x):
+                fv = truncate(x, M, out, work, inside)
+                return conservative_rhs(fv, out) if conservative else fv
 
-    return b_flow
+            return ssprk104(rhs, u, tau, substeps)
+
+        return b_flow
+
+    return build
 
 
 def _fkpp_b_flow(model, grid, substeps):
-    M = model.M
     p, q = model.params["p"], model.params["q"]
     if (p, q) != (5, 5):  # --param values arrive as floats; 5.0 passes
         raise ValueError(f"fkpp truncation is printed for p = q = 5 only, got p={p}, q={q}")
-
-    def b_flow(tau, u):
-        test = in_window(u, M)  # as in the cac B flow
-        out, work = _workspace(u), _workspace(u)
-        return ssprk104(lambda x: truncate_fkpp(x, M, out, work, test), u, tau, substeps)
-
-    return b_flow
+    return _truncated_b_flow(truncate_fkpp)(model, grid, substeps)
 
 
 def _nls_initial(model, X, Y):
@@ -325,13 +310,14 @@ _MODELS = {model.id: model for model in (
     ModelSpec(
         "ac", n_default=400, length=2 * math.pi, x0=0.0,
         params=dict(eps=0.1), M=6.0,
-        nu=_eps_squared, initial=_ac_initial, b_flow=_ac_b_flow, energy=_double_well_energy,
+        nu=_eps_squared, initial=_ac_initial, energy=_double_well_energy,
+        b_flow=_truncated_b_flow(truncate_double_well, closed_form=flow_double_well),
     ),
     ModelSpec(
         "cac", n_default=256, length=2.0, x0=-1.0,
         params=dict(eps=0.02), M=6.0,
-        nu=_eps_squared, initial=_on_mesh(_cac_initial), b_flow=_cac_b_flow,
-        energy=_double_well_energy,
+        nu=_eps_squared, initial=_on_mesh(_cac_initial), energy=_double_well_energy,
+        b_flow=_truncated_b_flow(truncate_double_well, conservative=True),
     ),
     ModelSpec(
         "fkpp", n_default=512, length=1.0, x0=0.0,
@@ -355,7 +341,7 @@ _MODELS = {model.id: model for model in (
     ),
     ModelSpec(
         "rd_system", n_default=1024, length=2.0, x0=-1.0,
-        params=dict(k1_plus=1.0, k1_minus=0.1, D_u=0.2, D_v=0.1), M=6.0, components=2,
+        params=dict(k1_plus=1.0, k1_minus=0.1, D_u=0.2, D_v=0.1), M=6.0,
         nu=lambda p: (p["D_u"], p["D_v"]), initial=_on_mesh(_rd_initial),
         b_flow=_reaction_b_flow,
         energy=_rd_energy, mass=lambda s, grid: float(grid.integrate(s[0] + s[1])),

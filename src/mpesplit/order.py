@@ -144,23 +144,22 @@ def _expm_pade(M: np.ndarray) -> np.ndarray:
     return expm(M)
 
 
+def _cached_expm_flow(matrix):
+    """x -> expm(tau matrix) x, each coefficient's exponential taken once."""
+    cache = {}
+
+    def flow(tau, x):
+        K = cache.get(tau)
+        if K is None:
+            K = cache[tau] = _expm_pade(tau * matrix)
+        return K @ x
+
+    return flow
+
+
 def matrix_flows(oracle: MatrixOraclePair) -> FlowPair:
     """Flow pair x -> expm(tau A) x with per-coefficient caching."""
-    cache_a, cache_b = {}, {}
-
-    def a_flow(tau, x):
-        K = cache_a.get(tau)
-        if K is None:
-            K = cache_a[tau] = _expm_pade(tau * oracle.A)
-        return K @ x
-
-    def b_flow(tau, x):
-        K = cache_b.get(tau)
-        if K is None:
-            K = cache_b[tau] = _expm_pade(tau * oracle.B)
-        return K @ x
-
-    return FlowPair(a_flow, b_flow)
+    return FlowPair(_cached_expm_flow(oracle.A), _cached_expm_flow(oracle.B))
 
 
 @dataclass

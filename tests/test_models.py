@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mpesplit import models
-from mpesplit.flows import fkpp_constant
 from mpesplit.grid import SpectralGrid
 from mpesplit.models import (
     default_grid,
@@ -73,7 +72,7 @@ class TestRegistry:
         rd = make_model("rd_system")
         assert rd.n_default == 1024
         assert rd.length == 2.0 and rd.x0 == -1.0
-        assert rd.components == 2
+        assert initial_condition(rd, default_grid(rd, 8)).shape == (2, 8, 8)
         assert rd.params == {"k1_plus": 1.0, "k1_minus": 0.1, "D_u": 0.2, "D_v": 0.1}
 
     def test_alias(self):
@@ -478,7 +477,8 @@ def _reference_rhs(model):
             return f - f.mean()
         return rhs
     if model.id == "fkpp":
-        return lambda u: fkpp_branches(u, M, fkpp_constant(5, 5))
+        K = math.factorial(11) // (math.factorial(5) * math.factorial(5))
+        return lambda u: fkpp_branches(u, M, K)
     p = model.params
     return lambda s: reaction_rhs(s, p["k1_plus"], p["k1_minus"])
 
