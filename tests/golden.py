@@ -82,6 +82,18 @@ COMMANDS = (
     # a finite ac state past the window, so the B flow takes its RK fallback
     ("run", "--model", "ac", "--scheme", "s4_4", "--nx", "32", "--tau", "1/40",
      "--tfinal", "1/4", "--param", "M=0.5", "--out", "out"),
+    # a last step shortened to 0.01, as tau does not divide t_final
+    ("run", "--model", "toy", "--scheme", "s4_2", "--nx", "16", "--tau", "0.03",
+     "--tfinal", "0.1"),
+    # the JSON file of a run's record, and the file of a study
+    ("run", "--model", "cac", "--scheme", "s4_3", "--nx", "32", "--tau", "1/100",
+     "--tfinal", "1/20", "--format", "json", "--out", "out"),
+    ("converge", "--scheme", "s4_2", *NLS, "--tfinal", "1/2", "--taus", "1/8,1/16",
+     "--out", "out"),
+    # a rung that diverges, after a self reference
+    ("converge", "--model", "ac", "--scheme", "s4_neg", "--allow-backward", "--nx", "32",
+     "--tfinal", "100", "--taus", "5,2.5", "--reference", "self", "--ref-scheme", "strang_a",
+     "--ref-tau", "1"),
 )
 
 
