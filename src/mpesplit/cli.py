@@ -12,6 +12,8 @@ from dataclasses import asdict, fields, replace
 from datetime import datetime, timezone
 from fractions import Fraction
 
+import numpy as np
+
 from . import harness, models, order, schemes
 
 
@@ -258,9 +260,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command. numpy's floating-point warnings are off: a run
+    reports a non-finite state as "diverged at step N" and a non-finite
+    diagnostic in its row, and the warnings, from both threads, would reach
+    stderr in varying order."""
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return args.fn(args)
     except (KeyError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

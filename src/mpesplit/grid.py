@@ -136,8 +136,8 @@ class SpectralGrid:
 #               pass along the first grid axis, in place;
 #   `_fft2`   = fftn: the first grid axis, then the last. numpy's own `fftn`
 #               runs the last axis first and rounds differently. A real
-#               input is `_rfft2` with its other columns filled from
-#               conjugate symmetry, as scipy fills them;
+#               input is taken as complex, so its bytes are those of
+#               scipy's transform of the input converted to complex;
 #   `_ifft2`  = ifftn: the unscaled inverse along the first grid axis, a
 #               scaling by 1/N^2 rounded from long double, then the unscaled
 #               inverse along the last axis, all in place;
@@ -165,32 +165,10 @@ def _rfft2(values: np.ndarray) -> np.ndarray:
 
 
 def _fft2(values: np.ndarray) -> np.ndarray:
-    """Full spectrum, as `scipy.fft.fftn` over the last two axes."""
-    if np.isrealobj(values):
-        return _fft2_of_real(values)
+    """Full spectrum, as `scipy.fft.fftn` over the last two axes; a real
+    input is taken as complex."""
     spec = np.fft.fft(values, axis=-2)
     return np.fft.fft(spec, axis=-1, out=spec)
-
-
-def _fft2_of_real(values: np.ndarray) -> np.ndarray:
-    """scipy's complex transform of a real array: the half spectrum, each
-    other column filled with the conjugates of its mirrored entries. scipy
-    fills in one pass over the half in row order, writing each entry's
-    conjugate to its mirror. Columns 0 and N/2 are their own mirrors, so
-    there row 0 and rows M/2 and up end as the conjugates of their mirrored
-    rows (rows 0 and M/2 of themselves), and the rows between keep their
-    values."""
-    half = _rfft2(values)
-    m, n = values.shape[-2:]
-    h = n // 2
-    full = np.empty(values.shape, dtype=half.dtype)
-    full[..., :h + 1] = half
-    mirror = -np.arange(m) % m
-    full[..., h + 1:] = np.conj(half[..., mirror, h - 1:0:-1])
-    rows = np.r_[0, m // 2:m]
-    for col in (0, h):
-        full[..., rows, col] = np.conj(half[..., mirror[rows], col])
-    return full
 
 
 def _ifft2(spec: np.ndarray) -> np.ndarray:
@@ -249,7 +227,8 @@ class Spectrum:
 def forward_spectrum(values: np.ndarray, nu, grid: SpectralGrid) -> Spectrum:
     """The forward piece of `linear_propagate`: the spectrum of a state of
     the grid's shape, over the grid's axes. A real state with real nu gets
-    the half spectrum; the state is not written."""
+    the half spectrum, any other state the full spectrum, a real one taken
+    as complex; the state is not written."""
     stacked = isinstance(nu, tuple)
     nus = _coefficients(nu)
     shape = (len(nus),) + grid.shape if stacked else grid.shape

@@ -154,11 +154,12 @@ def _timed(steps, t_end):
 
 
 def _adaptive_steps(controller: StepController, t_end: float):
-    """(tau, t) of each adaptive step, picked when asked for; the last ends at t_end."""
+    """(tau, t) of each adaptive step, picked when asked for; the last is
+    shortened to end at t_end, which it yields as its t."""
     t = 0.0
     while True:
         tau = min(adaptive_tau(controller, estimate_e_prime(controller.history)), t_end - t)
-        t += tau
+        t = t_end if tau == t_end - t else t + tau
         yield tau, t
 
 
@@ -169,7 +170,7 @@ def _march(scheme, flows, state, t_end, steps, hook=None):
     where it stopped: "ok" at t_end, "monitor" on a reason, "diverged"."""
     step, t, tau = 0, 0.0, 0.0
     while True:
-        last = t >= t_end - 1e-14
+        last = t >= t_end
         reason = hook(step, t, tau, state, last) if hook is not None else None
         if reason:
             return state, step, t, tau, "monitor", reason

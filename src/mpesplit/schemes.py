@@ -86,22 +86,14 @@ class Plan:
 
 
 def _split(costs, a_first):
-    """Term indices in two bins: longest term first, each into the lighter
-    bin. On a tie the terms that start with an A substep (`a_first`), which
-    share a forward transform within a bin (see `_run_terms`), go together
-    and apart from the others: to the bin that holds such a term when only
-    one bin does, else those terms to bin 0 and the others to bin 1 (all to
-    bin 0 when no term starts with an A substep). Fixed per scheme, so no
-    run depends on timing."""
+    """Term indices in two bins, each in term order. The terms go most
+    substeps first and, among equal counts, those that start with an A
+    substep (`a_first`) first, as they share a forward transform within a
+    bin (see `_run_terms`); each goes into the lighter bin, bin 0 on equal
+    loads. Fixed per scheme, so no run depends on timing."""
     bins, loads = ([], []), [0, 0]
-    for ti in sorted(range(len(costs)), key=lambda i: -costs[i]):
-        if loads[0] != loads[1]:
-            k = 0 if loads[0] < loads[1] else 1
-        else:
-            starts_a = ti in a_first
-            holds = [any(i in a_first for i in b) for b in bins]
-            k = (holds.index(starts_a) if holds[0] != holds[1]
-                 else int(bool(a_first) and not starts_a))
+    for ti in sorted(range(len(costs)), key=lambda i: (-costs[i], i not in a_first)):
+        k = int(loads[1] < loads[0])
         bins[k].append(ti)
         loads[k] += costs[ti]
     return tuple(tuple(sorted(b)) for b in bins)

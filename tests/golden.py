@@ -3,8 +3,9 @@ in-process through `cli.main`, and its entry in `golden_digests.json` holds
 the exit code, the SHA-256 of its standard output and the SHA-256 of every
 file it writes under its working directory, apart from the `CONFIGS` files
 written there before it runs. `# generated <timestamp>` lines
-are left out of both, and standard error is not digested: the numpy
-warnings of a diverged run come from two threads in varying order.
+are left out of both. Standard error is not digested: it holds at most
+an `error: ...` line, whose command's exit code is digested, since
+`cli.main` switches numpy's floating-point warnings off.
 
 Regenerate the table, after a change that means to change bytes, with
 

@@ -66,11 +66,12 @@ def inverse_real(spec, n_last):
 def propagate_one(values, nu, tau, grid):
     """The propagator of one state in its own transform, scaled by one 1-D
     factor per axis: `rfftn` of the whole state and one `irfftn` for a
-    real state with real nu, `fftn` and `ifftn` otherwise."""
+    real state with real nu, `fftn` of the state taken as complex and
+    `ifftn` otherwise."""
     nu = complex(nu)
     real = np.isrealobj(values) and nu.imag == 0
     c = -tau * (nu.real if real else nu)
-    spec = _fft.rfftn(values) if real else _fft.fftn(values)
+    spec = _fft.rfftn(values) if real else _fft.fftn(values.astype(np.result_type(values, 1j)))
     spec *= np.exp(c * grid._k2)[:, None]
     spec *= np.exp(c * (grid._k2_half if real else grid._k2))
     return _fft.irfftn(spec, s=np.shape(values)) if real else _fft.ifftn(spec)

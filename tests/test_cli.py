@@ -143,6 +143,29 @@ class TestRun:
         assert code == 3
         assert "# diverged at step" in out
 
+    def test_diverged_run_prints_nothing_to_stderr(self, tmp_path):
+        # the rows and the "# diverged" line report the non-finite values;
+        # numpy's warnings about them would come from two threads
+        root = str(Path(mpesplit.__file__).resolve().parents[1])
+        argv = ["run", "--model", "ac", "--scheme", "s4_neg", "--allow-backward", "--nx", "32",
+                "--tau", "5", "--tfinal", "100", "--out", "out"]
+        proc = subprocess.run([sys.executable, "-m", "mpesplit.cli", *argv], cwd=tmp_path,
+                              env={**os.environ, "PYTHONPATH": root}, capture_output=True,
+                              text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (3, "")
+        assert proc.stdout == "wrote out (status: diverged)\n"
+
+    def test_last_step_below_1e_14_is_taken(self, capsys):
+        # three steps of tau leave 5.0e-15 of the interval for a fourth
+        code, out, _ = run_cli(capsys, "run", "--model", "toy", "--scheme", "strang_a",
+                               "--nx", "8", "--tau", "33333333333166667/100000000000000000000",
+                               "--tfinal", "1/1000")
+        rows = [line.split(",") for line in out.strip().split("\n")[2:]]
+        assert code == 0
+        assert [(int(r[0]), float(r[1])) for r in rows[-2:]] == [
+            (3, 0.0009999999999950001), (4, 0.001)]
+        assert 0 < float(rows[-1][2]) < 1e-14
+
     def test_monitor_stop_exits_3_and_writes_its_files(self, capsys, tmp_path):
         out_dir = str(tmp_path / "rd")
         code, out, err = run_cli(capsys, "run", "--model", "rd_system", "--scheme", "lie1",

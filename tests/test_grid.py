@@ -328,7 +328,8 @@ class TestFftLayer:
         return {
             "rfftn": (_rfft2(real), sfft.rfftn(real, axes=axes)),
             "fftn": (_fft2(full), sfft.fftn(full, axes=axes)),
-            "fftn of real": (_fft2(real), sfft.fftn(real, axes=axes)),
+            "fftn of real": (_fft2(real),
+                             sfft.fftn(real.astype(np.result_type(real, 1j)), axes=axes)),
             "ifftn": (_ifft2(full.copy()), sfft.ifftn(full, axes=axes)),
             "irfftn": (_inverse_real(half.copy(), n), sfft.irfftn(half, s=(n, n), axes=axes)),
         }
